@@ -14,9 +14,9 @@ import sys
 
 from .expansions import Witness, eval_expansion, expansion_catalog, verify_witness
 from .lattice import CharPoly, DigitSystem, LatticeVec, float_roots, is_expanding, standard_digits
-from .membership import decide_membership, edge_graph, is_connected
+from .membership import decide_membership, edge_graph
 from .render import RenderConfig, default_filename, rasterize, write_image
-from .series import alpha_beta, series_sums
+from .series import _MAX_TERMS, alpha_beta, series_sums
 from .sweep import corollary_check, mirror_check, report_json, sweep_theorem
 
 
@@ -104,11 +104,8 @@ def _cmd_decide(args) -> int:
             return 0 if ok else 1
         return 1
     graph = edge_graph(ds)
-    present = sorted(graph.edges)
-    for i, j in present:
-        delta = ds.digits[i] - ds.digits[j]
-        outcome = decide_membership(ds, delta)
-        print(f"edge {i}-{j}: delta={delta} {_witness_str(outcome.witness)}")
+    for (i, j), witness in graph.witnesses.items():
+        print(f"edge {i}-{j}: delta={ds.digits[i] - ds.digits[j]} {_witness_str(witness)}")
     missing = [
         (i, j)
         for i in range(len(ds.digits))
@@ -117,9 +114,8 @@ def _cmd_decide(args) -> int:
     ]
     if missing:
         print("missing: " + " ".join(f"{i}-{j}" for i, j in missing))
-    connected = is_connected(ds)
-    print(f"connected: {'yes' if connected else 'no'}")
-    return 0 if connected else 1
+    print(f"connected: {'yes' if graph.connected else 'no'}")
+    return 0 if graph.connected else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -162,8 +158,8 @@ def _cmd_verify_corpus(args) -> int:
 
 def _cmd_series(args) -> int:
     poly = _parse_poly(args.poly)
-    if args.terms < 1:
-        raise CliError("--terms must be positive")
+    if not 1 <= args.terms <= _MAX_TERMS:
+        raise CliError(f"--terms must lie in 1..{_MAX_TERMS}, got {args.terms}")
     print(f"poly: {poly}")
     print("i alpha beta")
     for term in alpha_beta(poly, args.terms):
@@ -246,14 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_value_flags(argv: list[str]) -> list[str]:
-    # argparse mistakes values like "-5..5" for option strings; fold them
-    # into --flag=value form so negative ranges parse
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    # option strings of every action that takes a value, subcommands included
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
+
+
+def _join_value_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    # argparse mistakes values like "-5..5" or "-1,0;0,0" for option strings;
+    # fold them into --flag=value form so negative values parse
+    flags = _value_flags(parser)
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--k-range", "--delta", "--poly") and i + 1 < len(argv):
+        if tok in flags and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -266,7 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_value_flags(list(argv)))
+    args = parser.parse_args(_join_value_flags(parser, list(argv)))
     try:
         return args.func(args)
     except CliError as exc:

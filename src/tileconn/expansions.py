@@ -24,7 +24,6 @@ from .lattice import (
     coord_action,
     difference_set,
     is_expanding,
-    standard_digits,
 )
 
 
@@ -174,12 +173,3 @@ def expansion_catalog() -> list[CorpusItem]:
     """The built-in catalog of verified expansion identities."""
     return list(_CORPUS)
 
-
-def corpus_digit_systems() -> dict[tuple[CharPoly, int], DigitSystem]:
-    """Digit systems referenced by the catalog, keyed by (poly, k)."""
-    out: dict[tuple[CharPoly, int], DigitSystem] = {}
-    for item in _CORPUS:
-        key = (item.poly, item.k)
-        if key not in out:
-            out[key] = DigitSystem(item.poly, standard_digits(item.k))
-    return out

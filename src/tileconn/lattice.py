@@ -11,7 +11,6 @@ pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -226,7 +225,3 @@ def float_roots(poly: CharPoly) -> tuple[complex, complex]:
 
     sq = cmath.sqrt(complex(poly.discriminant))
     return ((-poly.p + sq) / 2, (-poly.p - sq) / 2)
-
-
-def floor_fraction(x: Fraction) -> int:
-    return math.floor(x)

@@ -11,10 +11,16 @@ that finite box the states admitting infinite paths are the greatest fixed
 point of "has a successor that survives".  Pruning to that fixed point and
 then walking greedily yields an eventually periodic witness word, which is
 re-verified by exact evaluation.
+
+T is connected exactly when the digit graph is: digits d_i and d_j share an
+edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
+and its result carries the whole decision for an instance: the edges, a
+witness for each, a spanning set of edges and the connectedness verdict.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -25,9 +31,8 @@ from .lattice import (
     LatticeVec,
     coord_action,
     difference_set,
-    floor_fraction,
 )
-from .series import SeriesBounds, series_sums
+from .series import SeriesBounds, envelope, series_sums
 
 
 class StateBox(NamedTuple):
@@ -53,27 +58,27 @@ class MembershipOutcome(NamedTuple):
 
 
 class EdgeGraph(NamedTuple):
-    """Digits as vertices; an edge i-j means d_i - d_j lies in T - T."""
+    """Digits as vertices; an edge i-j (i < j) means d_i - d_j lies in T - T.
+
+    witnesses maps each edge to the verified witness word of d_i - d_j.
+    spanning holds the edges that grow the component of digit 0, in the
+    order repeated passes over the sorted edges add them; connected says
+    whether that component holds every digit, which is exactly when the
+    attractor is connected.
+    """
 
     vertices: tuple[LatticeVec, ...]
     edges: frozenset[tuple[int, int]]
+    witnesses: dict[tuple[int, int], Witness]
+    spanning: tuple[tuple[int, int], ...]
+    connected: bool
 
 
 def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
-    """Box containing every lattice vector of T - T.
-
-    Expanding delta = sum A^{-i} (l_i v + k_i Av) in coordinates gives
-    l(delta) = k_1 + sum (k_{i+1} + l_i) alpha_i and
-    k(delta) = sum (k_{i+1} + l_i) beta_i, so with c the largest |k' + l|
-    over difference-set pairs and K the largest |k| coordinate,
-    |l(delta)| <= K + c * sum|alpha| and |k(delta)| <= c * sum|beta|.
-    """
-    dd = difference_set(ds)
-    k_coord_max = max(abs(d.k) for d in dd)
-    c = max(abs(a.k + b.l) for a in dd for b in dd)
-    l_max = floor_fraction(k_coord_max + c * bounds.alpha_upper)
-    k_max = floor_fraction(c * bounds.beta_upper)
-    return StateBox(l_max, k_max)
+    """Box containing every lattice vector of T - T: the envelope of all
+    expansions with digits from the difference set, floored."""
+    l_radius, k_radius = envelope(bounds, difference_set(ds))
+    return StateBox(math.floor(l_radius), math.floor(k_radius))
 
 
 def _walk_order(digits) -> list[LatticeVec]:
@@ -86,13 +91,8 @@ def _walk_order(digits) -> list[LatticeVec]:
 def _survivor_set(
     poly: CharPoly, dd: tuple[LatticeVec, ...], margin: int
 ) -> tuple[StateBox, frozenset[tuple[int, int]]]:
-    bounds = series_sums(poly)
-    k_coord_max = max(abs(d.k) for d in dd)
-    c = max(abs(a.k + b.l) for a in dd for b in dd)
-    box = StateBox(
-        floor_fraction(k_coord_max + c * bounds.alpha_upper) + margin,
-        floor_fraction(c * bounds.beta_upper) + margin,
-    )
+    l_radius, k_radius = envelope(series_sums(poly), dd)
+    box = StateBox(math.floor(l_radius) + margin, math.floor(k_radius) + margin)
     p, q = poly.p, poly.q
     alive = set(box.states())
     changed = True
@@ -151,30 +151,27 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
 
 
 def edge_graph(ds: DigitSystem) -> EdgeGraph:
-    """Graph on digit indices with edges where the digit difference is in T - T."""
+    """Decide every digit pair once and grow the component of digit 0."""
     digits = ds.digits
-    edges = set()
+    witnesses = {}
     for i in range(len(digits)):
         for j in range(i + 1, len(digits)):
-            if decide_membership(ds, digits[i] - digits[j]).member:
-                edges.add((i, j))
-    return EdgeGraph(digits, frozenset(edges))
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+            outcome = decide_membership(ds, digits[i] - digits[j])
+            if outcome.member:
+                witnesses[(i, j)] = outcome.witness
+    reached = {0}
+    spanning = []
+    grew = True
+    while grew:
+        grew = False
+        for edge in witnesses:  # filled in sorted order
+            if (edge[0] in reached) != (edge[1] in reached):
+                reached.update(edge)
+                spanning.append(edge)
+                grew = True
+    return EdgeGraph(
+        digits, frozenset(witnesses), witnesses, tuple(spanning), len(reached) == len(digits)
+    )
 
 
 def is_connected(ds: DigitSystem) -> bool:
@@ -184,9 +181,4 @@ def is_connected(ds: DigitSystem) -> bool:
     depends on the difference set, so translating all digits by a common
     vector never changes it.
     """
-    graph = edge_graph(ds)
-    uf = _UnionFind(len(graph.vertices))
-    for i, j in graph.edges:
-        uf.union(i, j)
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(len(graph.vertices)))
+    return edge_graph(ds).connected

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .lattice import CharPoly, DigitSystem, LatticeVec
-from .series import series_sums
+from .series import envelope, series_sums
 
 DEFAULT_POINT_BUDGET = 2_000_000
 
@@ -115,10 +115,7 @@ def attractor_points(cfg: RenderConfig, budget: int = DEFAULT_POINT_BUDGET) -> l
 
 def point_envelope(cfg: RenderConfig) -> tuple[Fraction, Fraction]:
     """Certified bounds: every point (x, y) has |x|, |y| within these."""
-    bounds = series_sums(cfg.poly)
-    k_coord_max = max(abs(d.k) for d in cfg.digits)
-    c = max(abs(a.k + b.l) for a in cfg.digits for b in cfg.digits)
-    return (k_coord_max + c * bounds.alpha_upper, c * bounds.beta_upper)
+    return envelope(series_sums(cfg.poly), cfg.digits)
 
 
 def _round_half_away(num: int, den: int) -> int:

@@ -159,3 +159,17 @@ def series_sums(
             return bounds
         n += 20
     raise ArithmeticError(f"tail bound did not reach {tail_tol} within {_MAX_TERMS} terms")
+
+
+def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:
+    """Bounds on |l| and |k| of every sum of A^{-i} w_i (i >= 1), w_i in vecs.
+
+    Expanding w = l v + k Av gives A^{-i} w = l_i A^{-i} v + k_i A^{-(i-1)} v,
+    so the sum has l = k_1 + sum (k_{i+1} + l_i) alpha_i and
+    k = sum (k_{i+1} + l_i) beta_i.  With c the largest |k' + l| over pairs
+    from vecs and K the largest |k| coordinate, |l| <= K + c * sum|alpha|
+    and |k| <= c * sum|beta|.
+    """
+    k_coord_max = max(abs(w.k) for w in vecs)
+    c = max(abs(a.k + b.l) for a in vecs for b in vecs)
+    return k_coord_max + c * bounds.alpha_upper, c * bounds.beta_upper

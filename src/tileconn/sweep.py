@@ -11,13 +11,12 @@ a JSON format; both omit timing so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .expansions import Witness, verify_witness
 from .lattice import CharPoly, DigitSystem, LatticeVec, enumerate_expanding, standard_digits
-from .membership import decide_membership, edge_graph, is_connected
+from .membership import EdgeGraph, edge_graph, is_connected
 
 SWEEP_DET_ABS = 3
 JSON_SCHEMA = "tileconn-sweep/1"
@@ -36,7 +35,6 @@ class SweepEntry:
     k: int
     connected: bool
     edges: tuple[tuple[int, int], ...]
-    runtime_ms: float
     witnesses: Optional[tuple[EdgeWitness, ...]] = None
 
 
@@ -58,27 +56,14 @@ def _k_values(k_lo: int, k_hi: int) -> list[int]:
     return [k for k in range(k_lo, k_hi + 1) if k != 0]
 
 
-def _spanning_witnesses(ds: DigitSystem, edges) -> tuple[EdgeWitness, ...]:
-    # witnesses for a spanning subset of edges: grow components greedily
-    reached = {0}
-    chosen = []
-    remaining = sorted(edges)
-    grew = True
-    while grew:
-        grew = False
-        for edge in remaining:
-            i, j = edge
-            if (i in reached) != (j in reached):
-                reached.update(edge)
-                chosen.append(edge)
-                grew = True
+def _spanning_witnesses(ds: DigitSystem, graph: EdgeGraph) -> tuple[EdgeWitness, ...]:
     out = []
-    for i, j in chosen:
+    for i, j in graph.spanning:
         delta = ds.digits[i] - ds.digits[j]
-        outcome = decide_membership(ds, delta)
-        if not (outcome.member and verify_witness(ds, delta, outcome.witness)):
+        witness = graph.witnesses[(i, j)]
+        if not verify_witness(ds, delta, witness):
             raise AssertionError(f"edge {i}-{j} lost its verified witness")
-        out.append(EdgeWitness((i, j), delta, outcome.witness))
+        out.append(EdgeWitness((i, j), delta, witness))
     return tuple(out)
 
 
@@ -88,32 +73,33 @@ def sweep_theorem(k_lo: int, k_hi: int, include_witnesses: bool = False) -> Swee
     verdict = True
     for poly in enumerate_expanding(SWEEP_DET_ABS):
         for k in _k_values(k_lo, k_hi):
-            started = time.perf_counter()
             ds = DigitSystem(poly, standard_digits(k))
             graph = edge_graph(ds)
-            connected = is_connected(ds)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
             witnesses = None
-            if include_witnesses and connected:
-                witnesses = _spanning_witnesses(ds, graph.edges)
+            if include_witnesses and graph.connected:
+                witnesses = _spanning_witnesses(ds, graph)
             entries.append(
-                SweepEntry(poly, k, connected, tuple(sorted(graph.edges)), elapsed_ms, witnesses)
+                SweepEntry(poly, k, graph.connected, tuple(sorted(graph.edges)), witnesses)
             )
-            if connected != (abs(k) == 1):
+            if graph.connected != (abs(k) == 1):
                 verdict = False
     return SweepReport(k_lo, k_hi, tuple(entries), verdict)
 
 
 def mirror_check(k_lo: int, k_hi: int) -> bool:
     """Connectedness agrees between (p, q, k) and (-p, q, -k) instances."""
-    for poly in enumerate_expanding(SWEEP_DET_ABS):
-        mirrored = CharPoly(-poly.p, poly.q)
-        for k in _k_values(k_lo, k_hi):
-            a = is_connected(DigitSystem(poly, standard_digits(k)))
-            b = is_connected(DigitSystem(mirrored, standard_digits(-k)))
-            if a != b:
-                return False
-    return True
+    verdicts: dict[tuple[CharPoly, int], bool] = {}
+
+    def connected(poly: CharPoly, k: int) -> bool:
+        if (poly, k) not in verdicts:
+            verdicts[(poly, k)] = is_connected(DigitSystem(poly, standard_digits(k)))
+        return verdicts[(poly, k)]
+
+    return all(
+        connected(poly, k) == connected(CharPoly(-poly.p, poly.q), -k)
+        for poly in enumerate_expanding(SWEEP_DET_ABS)
+        for k in _k_values(k_lo, k_hi)
+    )
 
 
 _COMPANION_DIGITS = (

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tileconn.cli import main
+from tileconn.series import _MAX_TERMS
 
 
 def run(capsys, *argv):
@@ -51,6 +52,11 @@ class TestDecide:
         )
         assert code == 0
         assert "delta: (-1,0)" in out
+
+    def test_digits_starting_negative_parse(self, capsys):
+        code, out, _ = run(capsys, "decide", "--poly", "1,3", "--digits", "-1,0;0,0;0,1")
+        assert code == 0
+        assert out.rstrip().endswith("connected: yes")
 
     def test_non_expanding_rejected(self, capsys):
         code, out, err = run(capsys, "decide", "--poly", "1,1", "--digits", "0,0;1,0")
@@ -129,6 +135,16 @@ class TestSeries:
 
     def test_zero_terms_rejected(self, capsys):
         code, _, err = run(capsys, "series", "--poly", "0,3", "--terms", "0")
+        assert code == 2
+        assert "--terms" in err
+
+    def test_too_many_terms_rejected(self, capsys, monkeypatch):
+        # the bound must reject before any term is computed
+        def no_terms(poly, n):
+            raise AssertionError(f"computed {n} terms")
+
+        monkeypatch.setattr("tileconn.cli.alpha_beta", no_terms)
+        code, _, err = run(capsys, "series", "--poly", "0,3", "--terms", str(_MAX_TERMS + 1))
         assert code == 2
         assert "--terms" in err
 

@@ -209,7 +209,52 @@ class TestEdgeGraph:
         assert edge_graph(ds).edges == frozenset()
 
 
+def bfs_connected(ds):
+    """Reference verdict: BFS from digit 0 over pairwise membership answers."""
+    n = len(ds.digits)
+    adjacent = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and decide_membership(ds, ds.digits[i] - ds.digits[j]).member
+    }
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for j in range(n):
+            if (i, j) in adjacent and j not in reached:
+                reached.add(j)
+                queue.append(j)
+    return len(reached) == n
+
+
 class TestIsConnected:
+    # 4- and 5-digit systems: connected ones whose spanning growth needs more
+    # than one pass over the sorted edges, and disconnected ones with edges
+    @pytest.mark.parametrize(
+        "pq,digits,expected",
+        [
+            ((3, 3), [(0, -1), (1, 2), (1, -2), (2, -2)], True),
+            ((-4, 4), [(-2, -2), (-2, 1), (2, -1), (1, -2)], True),
+            ((4, 5), [(-2, 0), (1, 1), (-1, -2), (-2, -1), (0, -1)], True),
+            ((-5, 5), [(1, 2), (-2, -2), (1, -2), (-1, 1)], False),
+            ((2, -5), [(0, 0), (2, -2), (-2, 2), (-1, 0), (1, -1)], False),
+        ],
+    )
+    def test_many_digits_match_bfs(self, pq, digits, expected):
+        ds = DigitSystem(CharPoly(*pq), digits)
+        assert bfs_connected(ds) == expected
+        assert is_connected(ds) == expected
+
+    @pytest.mark.parametrize("det_abs", [2, 3, 4])
+    def test_consecutive_collinear_digits_connected(self, det_abs):
+        # {0, v, ..., (|q| - 1) v} is connected for every expanding quadratic
+        # (Kirat, Lau & Rao 2004)
+        for poly in enumerate_expanding(det_abs):
+            ds = DigitSystem(poly, [(i, 0) for i in range(abs(poly.q))])
+            assert is_connected(ds), poly
+
     def test_examples(self):
         assert is_connected(DigitSystem(CharPoly(1, 3), standard_digits(1)))
         assert not is_connected(DigitSystem(CharPoly(1, 3), standard_digits(2)))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tileconn import membership, sweep
 from tileconn.expansions import verify_witness
 from tileconn.lattice import CharPoly, DigitSystem, LatticeVec, standard_digits
 from tileconn.sweep import (
@@ -115,3 +116,29 @@ class TestSerialization:
         payload = json.loads(report_json(sweep_theorem(1, 1)))
         for entry in payload["entries"]:
             assert "runtime_ms" not in entry
+
+
+class TestDecidedOnce:
+    """Each instance costs one decision per digit pair: 40 instances for
+    k in -2..2 (k = 0 skipped), 3 digit pairs each."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = membership.decide_membership
+
+        def counted(ds, delta):
+            seen.append((ds, delta))
+            return original(ds, delta)
+
+        monkeypatch.setattr(membership, "decide_membership", counted)
+        monkeypatch.setattr(sweep, "decide_membership", counted, raising=False)
+        return seen
+
+    def test_sweep_decides_each_pair_once(self, calls):
+        sweep_theorem(-2, 2, include_witnesses=True)
+        assert len(calls) == 120
+
+    def test_mirror_decides_each_pair_once(self, calls):
+        assert mirror_check(-2, 2)
+        assert len(calls) == 120
