@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from bisect import bisect_left
 
 from .expansions import Witness, eval_expansion, expansion_catalog, verify_witness
 from .lattice import CharPoly, DigitSystem, LatticeVec, float_roots, is_expanding, standard_digits
 from .membership import decide_membership, edge_graph
 from .render import RenderConfig, default_filename, rasterize, write_image
 from .series import _MAX_TERMS, alpha_beta, series_sums
-from .sweep import corollary_check, mirror_check, report_json, sweep_theorem
+from .sweep import corollary_check, mirror_holds, report_json, sweep_theorem
 
 
 class CliError(Exception):
@@ -124,7 +125,7 @@ def _cmd_sweep(args) -> int:
     print(f"k: {lo}..{hi}  entries: {len(report.entries)}")
     print(f"connected: {report.connected_count}")
     print(f"theorem (connected iff |k|=1): {'PASS' if report.theorem_verdict else 'FAIL'}")
-    mirror_ok = mirror_check(lo, hi)
+    mirror_ok = mirror_holds(report)
     print(f"mirror (p,k vs -p,-k): {'PASS' if mirror_ok else 'FAIL'}")
     corollary_ok = corollary_check()
     print(f"companion digit sets connected: {'PASS' if corollary_ok else 'FAIL'}")
@@ -156,10 +157,25 @@ def _cmd_verify_corpus(args) -> int:
     return 0 if all_ok else 1
 
 
+def _max_printable_terms(poly: CharPoly) -> int:
+    # Term n has a denominator dividing |q|^n; printing it needs |q|^n below
+    # 10**limit, the interpreter's cap on digits in int-to-str conversion
+    # (0 means no cap).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return _MAX_TERMS
+    ceiling = 10**limit
+    first_too_long = bisect_left(
+        range(_MAX_TERMS + 1), True, key=lambda n: abs(poly.q) ** n >= ceiling
+    )
+    return first_too_long - 1
+
+
 def _cmd_series(args) -> int:
     poly = _parse_poly(args.poly)
-    if not 1 <= args.terms <= _MAX_TERMS:
-        raise CliError(f"--terms must lie in 1..{_MAX_TERMS}, got {args.terms}")
+    max_terms = _max_printable_terms(poly)
+    if not 1 <= args.terms <= max_terms:
+        raise CliError(f"--terms must lie in 1..{max_terms} for {poly}, got {args.terms}")
     print(f"poly: {poly}")
     print("i alpha beta")
     for term in alpha_beta(poly, args.terms):

@@ -6,7 +6,9 @@ A word (pre, per) with digits w_1..w_m and u_1..u_P denotes the vector
 
 i.e. the value of the infinite digit string w_1..w_m (u_1..u_P)^omega in
 inverse powers of A.  Evaluation is exact over the rationals, in (v, Av)
-coordinates.  The module also carries a catalog of eventually periodic
+coordinates.  Checking that a word expands a given lattice vector needs no
+rationals: replays walks the vector forward through s -> A s - d in
+integers.  The module also carries a catalog of eventually periodic
 identities for the ten expanding polynomials with |q| = 3 and both signs of
 k, used as a verification corpus for the membership decider.
 """
@@ -81,14 +83,39 @@ def eval_expansion(poly: CharPoly, pre: Iterable, per: Iterable) -> RationalVec:
     return RationalVec(acc_l + tail[0], acc_k + tail[1])
 
 
+def replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
+    """True iff the word w evaluates to the lattice vector delta.
+
+    Starting at delta, each digit d moves the state s to A s - d, so after
+    n digits delta = sum_{i<=n} A^{-i} d_i + A^{-n} s_n.  When the state
+    reached after one more period equals the state at the end of the
+    preperiod, the states repeat and stay bounded, A^{-n} s_n tends to 0 and
+    delta is the value of the word.  Conversely, if delta is that value,
+    s_n is the value of the word's remaining digits, which is the same after
+    the preperiod and after one more period.  Integers only; the same
+    preconditions as eval_expansion.
+    """
+    if not is_expanding(poly):
+        raise ValueError(f"{poly} is not expanding")
+    if not w.period:
+        raise ValueError("period must be nonempty")
+    p, q = poly.p, poly.q
+    l, k = delta
+    for d in w.preperiod:
+        l, k = -q * k - d[0], l - p * k - d[1]
+    start = (l, k)
+    for d in w.period:
+        l, k = -q * k - d[0], l - p * k - d[1]
+    return (l, k) == start
+
+
 def verify_witness(ds: DigitSystem, delta: LatticeVec, w: Witness) -> bool:
     """True iff every digit of w lies in the difference set of ds and the
-    word evaluates exactly to delta."""
+    word evaluates to delta (checked by integer replay)."""
     allowed = set(difference_set(ds))
     if any(d not in allowed for d in w.preperiod + w.period):
         return False
-    value = eval_expansion(ds.poly, w.preperiod, w.period)
-    return value == RationalVec(Fraction(delta[0]), Fraction(delta[1]))
+    return replays(ds.poly, delta, w)
 
 
 class CorpusItem(NamedTuple):

@@ -8,9 +8,11 @@ s -> A s - w (w in the difference set) and ask for an infinite path.  Any
 state on a valid walk is itself a vector of T - T, so all walks live inside
 an analytic coordinate box derived from the certified series bounds; inside
 that finite box the states admitting infinite paths are the greatest fixed
-point of "has a successor that survives".  Pruning to that fixed point and
-then walking greedily yields an eventually periodic witness word, which is
-re-verified by exact evaluation.
+point of "has a successor that survives".  A worklist prunes the box to
+that fixed point in time linear in the box: it counts each state's in-box
+successors, and every dead state lowers the counts of its predecessors
+once.  Walking greedily through the survivors then yields an eventually
+periodic witness word, which is re-checked by integer replay.
 
 T is connected exactly when the digit graph is: digits d_i and d_j share an
 edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
@@ -21,10 +23,12 @@ witness for each, a spanning set of edges and the connectedness verdict.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
+from itertools import accumulate, chain, compress, islice, product
 from typing import NamedTuple, Optional
 
-from .expansions import Witness, eval_expansion
+from .expansions import Witness, replays
 from .lattice import (
     CharPoly,
     DigitSystem,
@@ -94,16 +98,61 @@ def _survivor_set(
     l_radius, k_radius = envelope(series_sums(poly), dd)
     box = StateBox(math.floor(l_radius) + margin, math.floor(k_radius) + margin)
     p, q = poly.p, poly.q
-    alive = set(box.states())
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            image_l = -q * s[1]
-            image_k = s[0] - p * s[1]
-            if not any((image_l - w.l, image_k - w.k) in alive for w in dd):
-                alive.discard(s)
-                changed = True
+    l_max, k_max = box
+    width = 2 * l_max + 1
+    # State (l, k) has index (k + k_max) * width + (l + l_max) and moves to
+    # (-q*k - w.l, l - p*k - w.k).  Within a row of fixed k the move by w
+    # stays in the box for one run of l, so a difference array per row
+    # counts the in-box successors of every state.
+    rows = []
+    for k in range(-k_max, k_max + 1):
+        diff = [0] * (width + 1)
+        for w in dd:
+            if abs(q * k + w.l) <= l_max:
+                lo = max(p * k + w.k - k_max, -l_max)
+                hi = min(p * k + w.k + k_max, l_max)
+                if lo <= hi:
+                    diff[lo + l_max] += 1
+                    diff[hi + l_max + 1] -= 1
+        rows.append(islice(accumulate(diff), width))
+    # a count is at most len(dd), and a byte holds at most 255
+    counts = (bytearray if len(dd) < 256 else list)(chain.from_iterable(rows))
+
+    # A state t has a predecessor via w exactly when q divides t.l + w.l:
+    # then k = -(t.l + w.l)/q and l = t.k + w.k + p*k.  preds[t.l + l_max]
+    # lists, per such w with k in the box, the run of t.k + k_max whose
+    # predecessor l is in the box too, and the index shift to it.
+    preds = []
+    for t_l in range(-l_max, l_max + 1):
+        entry = []
+        for w in dd:
+            if (t_l + w.l) % q == 0:
+                k = -(t_l + w.l) // q
+                if -k_max <= k <= k_max:
+                    offset = w.k + p * k - k_max  # l - (t.k + k_max)
+                    shift = (k + k_max) * width + l_max + offset
+                    entry.append((-l_max - offset, l_max - offset, shift))
+        preds.append(entry)
+
+    # Kill states whose successors are all dead: each dead state lowers the
+    # counts of its predecessors once, and a count reaching 0 kills.
+    dead = list(compress(range(len(counts)), map(operator.not_, counts)))
+    while dead:
+        a, b = divmod(dead.pop(), width)
+        for lo, hi, shift in preds[b]:
+            if lo <= a <= hi:
+                i = a + shift
+                counts[i] -= 1
+                if not counts[i]:
+                    dead.append(i)
+    # a frozenset copied from a set keeps the set's table size; one built
+    # from a generator over-allocates, and the cache holds every result
+    alive = {
+        (l, k)
+        for k, l in compress(
+            product(range(-k_max, k_max + 1), range(-l_max, l_max + 1)), counts
+        )
+    }
     return box, frozenset(alive)
 
 
@@ -144,9 +193,8 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
             raise AssertionError("survivor state lost all successors")
     start = seen[state]
     witness = Witness(tuple(word[:start]), tuple(word[start:]))
-    value = eval_expansion(ds.poly, witness.preperiod, witness.period)
-    if (value.l, value.k) != (delta.l, delta.k):
-        raise AssertionError(f"extracted witness failed exact re-evaluation for {delta}")
+    if not replays(ds.poly, delta, witness):
+        raise AssertionError(f"extracted witness failed integer replay for {delta}")
     return MembershipOutcome(True, witness)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .lattice import CharPoly, Mat2, coord_action, is_expanding
@@ -117,22 +118,19 @@ def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
     raise ArithmeticError(f"no contracting power of the inverse action for {poly}")
 
 
-def _bounds_at(poly: CharPoly, n_terms: int, g: Fraction) -> SeriesBounds:
+def _partial_bounds(poly: CharPoly, g: Fraction) -> Iterator[SeriesBounds]:
+    """Bounds from the first n exact terms, for n = 1, 2, ... in turn."""
     alpha_sum = Fraction(0)
     beta_sum = Fraction(0)
     tail = None
-    it = _term_iter(poly)
-    for _ in range(n_terms):
-        term = next(it)
+    for term in _term_iter(poly):
         alpha_sum += abs(term.alpha)
         beta_sum += abs(term.beta)
         raw = max(abs(term.alpha), abs(term.beta)) * g
         # Running minimum keeps the tail bound valid (earlier tails dominate
         # later true tails) and monotone, so growing N never loosens bounds.
         tail = raw if tail is None else min(tail, raw)
-    if tail is None:
-        raise ValueError("n_terms must be positive")
-    return SeriesBounds(alpha_sum + tail, beta_sum + tail, n_terms, tail)
+        yield SeriesBounds(alpha_sum + tail, beta_sum + tail, term.index, tail)
 
 
 @lru_cache(maxsize=None)
@@ -143,21 +141,21 @@ def series_sums(
 ) -> SeriesBounds:
     """Certified upper bounds for sum |alpha_i| and sum |beta_i|.
 
-    With n_terms unset, the number of exact terms grows until the certified
-    tail bound drops below tail_tol.  Everything is exact rational
-    arithmetic; no floating point enters the result.
+    With n_terms unset, the number of exact terms grows in steps of 20
+    until the certified tail bound drops below tail_tol.  Everything is
+    exact rational arithmetic; no floating point enters the result.
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
     _, _, g = _contraction_data(poly)
+    partial = _partial_bounds(poly, g)
     if n_terms is not None:
-        return _bounds_at(poly, n_terms, g)
-    n = 20
-    while n <= _MAX_TERMS:
-        bounds = _bounds_at(poly, n, g)
+        if n_terms < 1:
+            raise ValueError("n_terms must be positive")
+        return next(islice(partial, n_terms - 1, None))
+    for bounds in islice(partial, 19, _MAX_TERMS, 20):
         if bounds.tail_bound < tail_tol:
             return bounds
-        n += 20
     raise ArithmeticError(f"tail bound did not reach {tail_tol} within {_MAX_TERMS} terms")
 
 

@@ -86,9 +86,11 @@ def sweep_theorem(k_lo: int, k_hi: int, include_witnesses: bool = False) -> Swee
     return SweepReport(k_lo, k_hi, tuple(entries), verdict)
 
 
-def mirror_check(k_lo: int, k_hi: int) -> bool:
-    """Connectedness agrees between (p, q, k) and (-p, q, -k) instances."""
-    verdicts: dict[tuple[CharPoly, int], bool] = {}
+def mirror_holds(report: SweepReport) -> bool:
+    """Connectedness agrees between (p, q, k) and (-p, q, -k) for every
+    entry of the report.  Verdicts come from the report; only mirror
+    instances it lacks (an asymmetric k range) are decided here."""
+    verdicts = {(e.poly, e.k): e.connected for e in report.entries}
 
     def connected(poly: CharPoly, k: int) -> bool:
         if (poly, k) not in verdicts:
@@ -96,10 +98,13 @@ def mirror_check(k_lo: int, k_hi: int) -> bool:
         return verdicts[(poly, k)]
 
     return all(
-        connected(poly, k) == connected(CharPoly(-poly.p, poly.q), -k)
-        for poly in enumerate_expanding(SWEEP_DET_ABS)
-        for k in _k_values(k_lo, k_hi)
+        e.connected == connected(CharPoly(-e.poly.p, e.poly.q), -e.k) for e in report.entries
     )
+
+
+def mirror_check(k_lo: int, k_hi: int) -> bool:
+    """Connectedness agrees between (p, q, k) and (-p, q, -k) instances."""
+    return mirror_holds(sweep_theorem(k_lo, k_hi))
 
 
 _COMPANION_DIGITS = (

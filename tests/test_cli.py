@@ -1,6 +1,7 @@
 """Command line tests, run in-process through main(argv)."""
 
 import json
+import re
 
 import pytest
 
@@ -147,6 +148,22 @@ class TestSeries:
         code, _, err = run(capsys, "series", "--poly", "0,3", "--terms", str(_MAX_TERMS + 1))
         assert code == 2
         assert "--terms" in err
+
+    def test_terms_capped_by_printable_denominator(self, capsys, monkeypatch):
+        # term n has denominator 6^n; 6^5600 has more digits than int-to-str
+        # conversion allows, so the bound must reject before any term is
+        # computed
+        def no_terms(poly, n):
+            raise AssertionError(f"computed {n} terms")
+
+        monkeypatch.setattr("tileconn.cli.alpha_beta", no_terms)
+        code, _, err = run(capsys, "series", "--poly", "1,6", "--terms", "5600")
+        assert code == 2
+        assert "--terms" in err
+        cap = int(re.search(r"1\.\.(\d+)", err).group(1))
+        str(6**cap)  # the largest accepted denominator converts
+        with pytest.raises(ValueError):
+            str(6 ** (cap + 1))
 
 
 class TestRender:

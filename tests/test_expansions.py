@@ -8,6 +8,7 @@ from tileconn.expansions import (
     Witness,
     eval_expansion,
     expansion_catalog,
+    replays,
     verify_witness,
 )
 from tileconn.lattice import CharPoly, DigitSystem, LatticeVec, difference_set, standard_digits
@@ -74,6 +75,36 @@ class TestVerifyWitness:
         ds = DigitSystem(CharPoly(0, 3), standard_digits(1))
         w = Witness((), (LatticeVec(2, 0),))
         assert not verify_witness(ds, LatticeVec(1, 0), w)
+
+    def test_rejects_empty_period(self):
+        # a bare replay of the empty period returns to its start and would
+        # accept; a word without a period expands nothing
+        ds = DigitSystem(CharPoly(0, 3), standard_digits(1))
+        with pytest.raises(ValueError):
+            verify_witness(ds, LatticeVec(0, 0), Witness((LatticeVec(0, 0),), ()))
+
+
+class TestReplays:
+    def test_matches_exact_evaluation_on_catalog_and_neighbours(self):
+        for item in expansion_catalog():
+            ds = DigitSystem(item.poly, standard_digits(item.k))
+            value = eval_expansion(item.poly, item.witness.preperiod, item.witness.period)
+            for dl in (-1, 0, 1):
+                for dk in (-1, 0, 1):
+                    delta = LatticeVec(item.delta.l + dl, item.delta.k + dk)
+                    exact = value == RationalVec(Fraction(delta.l), Fraction(delta.k))
+                    assert exact == (dl == dk == 0), item.label
+                    assert replays(item.poly, delta, item.witness) == exact, (item.label, delta)
+                    verified = verify_witness(ds, delta, item.witness)
+                    assert verified == (item.word_in_dd and exact), (item.label, delta)
+
+    def test_rejects_empty_period(self):
+        with pytest.raises(ValueError):
+            replays(CharPoly(1, 3), (0, 0), Witness((), ()))
+
+    def test_rejects_non_expanding(self):
+        with pytest.raises(ValueError):
+            replays(CharPoly(2, -3), (1, 0), Witness((), (LatticeVec(1, 0),)))
 
 
 class TestCorpus:

@@ -1,13 +1,15 @@
-"""Membership decider tests, including an independent brute-force oracle.
+"""Membership decider tests, including two independent oracles.
 
-The oracle certifies membership without the fixed-point pruning: it first
-collects box states that can return to themselves (each such cycle word is
-re-verified by exact expansion evaluation), then asks whether delta reaches
-a certified cycle state within a few steps, re-verifying the whole
+The brute-force oracle certifies membership without the fixed-point pruning:
+it first collects box states that can return to themselves (each such cycle
+word is re-verified by exact expansion evaluation), then asks whether delta
+reaches a certified cycle state within a few steps, re-verifying the whole
 preperiod-plus-cycle word exactly.  Oracle and decider must agree on every
-box state.
+box state.  The survivor oracle computes the greatest fixed point by
+repeated full passes over the box, which the worklist must reproduce.
 """
 
+import math
 from collections import deque
 
 import pytest
@@ -24,15 +26,18 @@ from tileconn.lattice import (
     standard_digits,
 )
 from tileconn.membership import (
+    StateBox,
+    _survivor_set,
     decide_membership,
     edge_graph,
     is_connected,
     state_box,
     survivors,
 )
-from tileconn.series import series_sums
+from tileconn.series import envelope, series_sums
 
 ORACLE_DEPTH = 8
+QUADRATICS = [poly for det_abs in range(2, 7) for poly in enumerate_expanding(det_abs)]
 
 
 def box_of(ds):
@@ -93,6 +98,25 @@ def oracle_member(ds, delta, cycles, box):
                     nxt[cand] = path + [w]
         frontier = nxt
     return False
+
+
+def survivors_by_passes(poly, dd, margin):
+    """Reference fixed point: drop states without a surviving successor in
+    repeated full passes over the box until a pass changes nothing."""
+    l_radius, k_radius = envelope(series_sums(poly), dd)
+    box = StateBox(math.floor(l_radius) + margin, math.floor(k_radius) + margin)
+    p, q = poly.p, poly.q
+    alive = set(box.states())
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            image_l = -q * s[1]
+            image_k = s[0] - p * s[1]
+            if not any((image_l - w.l, image_k - w.k) in alive for w in dd):
+                alive.discard(s)
+                changed = True
+    return box, frozenset(alive)
 
 
 class TestStateBox:
@@ -179,6 +203,37 @@ class TestSurvivorsRobustness:
         for s in alive:
             image = action.apply(s)
             assert any((image[0] - w.l, image[1] - w.k) in alive for w in dd)
+
+
+class TestSurvivorWorklist:
+    @pytest.mark.parametrize("det_abs", [2, 3, 4, 5, 6])
+    def test_matches_repeated_passes(self, det_abs):
+        for poly in enumerate_expanding(det_abs):
+            for k in (1, 2, 6):
+                dd = tuple(difference_set(DigitSystem(poly, standard_digits(k))))
+                for margin in (0, 2):
+                    expected = survivors_by_passes(poly, dd, margin)
+                    assert _survivor_set.__wrapped__(poly, dd, margin) == expected, (poly, k)
+
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5, unique=True
+        ),
+        st.sampled_from([0, 2]),
+    )
+    @settings(max_examples=60)
+    def test_matches_repeated_passes_random_digits(self, poly, digits, margin):
+        dd = tuple(difference_set(DigitSystem(poly, digits)))
+        assert _survivor_set.__wrapped__(poly, dd, margin) == survivors_by_passes(poly, dd, margin)
+
+    def test_more_successors_than_a_byte_holds(self):
+        # 81 digits give 289 differences, and central states of this box
+        # keep all 289 successors inside it
+        poly = CharPoly(0, 3)
+        digits = [(l, k) for l in range(-4, 5) for k in range(-4, 5)]
+        dd = tuple(difference_set(DigitSystem(poly, digits)))
+        assert _survivor_set.__wrapped__(poly, dd, 0) == survivors_by_passes(poly, dd, 0)
 
 
 class TestOracleEquivalence:

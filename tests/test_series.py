@@ -132,3 +132,16 @@ class TestSeriesSums:
     def test_rejects_non_expanding(self):
         with pytest.raises(ValueError):
             series_sums(CharPoly(4, -3))
+
+    def test_rejects_nonpositive_term_count(self):
+        with pytest.raises(ValueError):
+            series_sums(CharPoly(1, 3), n_terms=0)
+
+    def test_search_matches_fixed_term_count(self):
+        # the tail search stops at a multiple of 20 terms with exactly the
+        # bounds a fixed count of that many terms gives
+        for det_abs in range(2, 7):
+            for poly in enumerate_expanding(det_abs):
+                bounds = series_sums(poly)
+                assert bounds.terms_used % 20 == 0
+                assert bounds == series_sums(poly, n_terms=bounds.terms_used), poly

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tileconn import membership, sweep
+from tileconn.cli import main
 from tileconn.expansions import verify_witness
 from tileconn.lattice import CharPoly, DigitSystem, LatticeVec, standard_digits
 from tileconn.sweep import (
@@ -142,3 +143,15 @@ class TestDecidedOnce:
     def test_mirror_decides_each_pair_once(self, calls):
         assert mirror_check(-2, 2)
         assert len(calls) == 120
+
+    @pytest.mark.parametrize("k_range", ["-2..2", "1..2"])
+    def test_sweep_command_decides_each_instance_once(self, calls, capsys, k_range):
+        # 40 sweep and mirror instances and 20 companion ones: -2..2 holds
+        # every mirror instance, while for 1..2 the mirror check decides the
+        # 20 with k < 0 that the report lacks
+        assert main(["sweep", "--k-range", k_range]) == 0
+        assert len(calls) == 180
+        out = capsys.readouterr().out
+        assert "theorem (connected iff |k|=1): PASS" in out
+        assert "mirror (p,k vs -p,-k): PASS" in out
+        assert "companion digit sets connected: PASS" in out
