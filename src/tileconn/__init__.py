@@ -3,109 +3,9 @@
 The attractor T of an expanding 2x2 integer matrix A (characteristic
 polynomial x^2 + p*x + q) and a lattice digit set D satisfies
 A T = union of T + d over d in D.  This package decides, with exact
-rational arithmetic and machine-checkable certificates, whether T is
+integer arithmetic and machine-checkable certificates, whether T is
 connected, specializing in the three-digit systems {0, v, k*Av} with
 |q| = 3, where connectedness holds exactly for k = +-1.
 """
 
-from .expansions import (
-    CorpusItem,
-    RationalVec,
-    Witness,
-    eval_expansion,
-    expansion_catalog,
-    verify_witness,
-)
-from .lattice import (
-    CharPoly,
-    CoordAction,
-    DigitSystem,
-    LatticeVec,
-    Mat2,
-    coord_action,
-    difference_set,
-    enumerate_expanding,
-    is_expanding,
-    pairwise_differences,
-    standard_digits,
-)
-from .membership import (
-    EdgeGraph,
-    MembershipOutcome,
-    StateBox,
-    decide_membership,
-    edge_graph,
-    is_connected,
-    state_box,
-    survivors,
-)
-from .render import (
-    ImageGrid,
-    RenderConfig,
-    attractor_points,
-    count_components,
-    default_filename,
-    point_envelope,
-    rasterize,
-    write_image,
-)
-from .series import SeriesBounds, SeriesTerm, alpha_beta, closed_form_check, series_sums
-from .sweep import (
-    SweepEntry,
-    SweepReport,
-    corollary_check,
-    mirror_check,
-    report_json,
-    report_lines,
-    sweep_theorem,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CharPoly",
-    "CoordAction",
-    "CorpusItem",
-    "DigitSystem",
-    "EdgeGraph",
-    "ImageGrid",
-    "LatticeVec",
-    "Mat2",
-    "MembershipOutcome",
-    "RationalVec",
-    "RenderConfig",
-    "SeriesBounds",
-    "SeriesTerm",
-    "StateBox",
-    "SweepEntry",
-    "SweepReport",
-    "Witness",
-    "alpha_beta",
-    "attractor_points",
-    "closed_form_check",
-    "coord_action",
-    "corollary_check",
-    "count_components",
-    "decide_membership",
-    "default_filename",
-    "difference_set",
-    "edge_graph",
-    "enumerate_expanding",
-    "eval_expansion",
-    "expansion_catalog",
-    "is_connected",
-    "is_expanding",
-    "mirror_check",
-    "pairwise_differences",
-    "point_envelope",
-    "rasterize",
-    "report_json",
-    "report_lines",
-    "series_sums",
-    "standard_digits",
-    "state_box",
-    "survivors",
-    "sweep_theorem",
-    "verify_witness",
-    "write_image",
-]

@@ -95,7 +95,10 @@ def _cmd_decide(args) -> int:
     print("digits: " + " ".join(str(d) for d in ds.digits))
     if args.delta is not None:
         delta = LatticeVec(*_parse_pair(args.delta, "--delta"))
-        outcome = decide_membership(ds, delta)
+        try:
+            outcome = decide_membership(ds, delta)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         print(f"delta: {delta}")
         print(f"member: {'yes' if outcome.member else 'no'}")
         if outcome.member:
@@ -104,7 +107,10 @@ def _cmd_decide(args) -> int:
             print(f"verified: {'exact' if ok else 'FAILED'}")
             return 0 if ok else 1
         return 1
-    graph = edge_graph(ds)
+    try:
+        graph = edge_graph(ds)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     for (i, j), witness in graph.witnesses.items():
         print(f"edge {i}-{j}: delta={ds.digits[i] - ds.digits[j]} {_witness_str(witness)}")
     missing = [
@@ -121,11 +127,14 @@ def _cmd_decide(args) -> int:
 
 def _cmd_sweep(args) -> int:
     lo, hi = _parse_k_range(args.k_range)
-    report = sweep_theorem(lo, hi, include_witnesses=args.witnesses)
+    try:
+        report = sweep_theorem(lo, hi, include_witnesses=args.witnesses)
+        mirror_ok = mirror_holds(report)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     print(f"k: {lo}..{hi}  entries: {len(report.entries)}")
     print(f"connected: {report.connected_count}")
     print(f"theorem (connected iff |k|=1): {'PASS' if report.theorem_verdict else 'FAIL'}")
-    mirror_ok = mirror_holds(report)
     print(f"mirror (p,k vs -p,-k): {'PASS' if mirror_ok else 'FAIL'}")
     corollary_ok = corollary_check()
     print(f"companion digit sets connected: {'PASS' if corollary_ok else 'FAIL'}")

@@ -5,12 +5,13 @@ A word (pre, per) with digits w_1..w_m and u_1..u_P denotes the vector
     sum_{i<=m} A^{-i} w_i  +  A^{-m} (I - A^{-P})^{-1} sum_{j<=P} A^{-j} u_j,
 
 i.e. the value of the infinite digit string w_1..w_m (u_1..u_P)^omega in
-inverse powers of A.  Evaluation is exact over the rationals, in (v, Av)
-coordinates.  Checking that a word expands a given lattice vector needs no
-rationals: replays walks the vector forward through s -> A s - d in
-integers.  The module also carries a catalog of eventually periodic
-identities for the ten expanding polynomials with |q| = 3 and both signs of
-k, used as a verification corpus for the membership decider.
+inverse powers of A.  Evaluation is exact, in (v, Av) coordinates: integer
+numerators over one common denominator, returned as rationals.  Checking
+that a word expands a given lattice vector needs no rationals: replays walks
+the vector forward through s -> A s - d in integers.  The module also
+carries a catalog of eventually periodic identities for the ten expanding
+polynomials with |q| = 3 and both signs of k, used as a verification corpus
+for the membership decider.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .lattice import (
-    CharPoly,
-    DigitSystem,
-    LatticeVec,
-    Mat2,
-    coord_action,
-    difference_set,
-    is_expanding,
-)
+from .lattice import CharPoly, DigitSystem, LatticeVec, coord_action, is_expanding
 
 
 class RationalVec(NamedTuple):
@@ -58,29 +51,29 @@ def eval_expansion(poly: CharPoly, pre: Iterable, per: Iterable) -> RationalVec:
     per_w = _as_word(per)
     if not per_w:
         raise ValueError("period must be nonempty")
-    inv = coord_action(poly).inverse()
+    p, q = poly.p, poly.q
 
-    acc_l = Fraction(0)
-    acc_k = Fraction(0)
-    power = Mat2.identity()
-    for d in pre_w:
-        power = power * inv
-        x, y = power.apply(d)
-        acc_l += x
-        acc_k += y
-    shift = power  # inv^len(pre)
-
-    per_l = Fraction(0)
-    per_k = Fraction(0)
-    power = Mat2.identity()
-    for d in per_w:
-        power = power * inv
-        x, y = power.apply(d)
-        per_l += x
-        per_k += y
-    resolvent = (Mat2.identity() - power).inverse()
-    tail = shift.apply(resolvent.apply((per_l, per_k)))
-    return RationalVec(acc_l + tail[0], acc_k + tail[1])
+    # A^P and rhs = sum_j A^(P-j) u_j, by Horner's rule over the period
+    col_v, col_av, rhs = (1, 0), (0, 1), (0, 0)
+    for u in per_w:
+        col_v = coord_action(poly, col_v)
+        col_av = coord_action(poly, col_av)
+        image = coord_action(poly, rhs)
+        rhs = (image[0] + u.l, image[1] + u.k)
+    # the periodic part y solves (A^P - I) y = rhs; Cramer's rule gives it
+    # as integer numerators over den = det(A^P - I), which is nonzero
+    # because an expanding A has no root of unity as an eigenvalue
+    a, b = col_v[0] - 1, col_av[0]
+    c, d = col_v[1], col_av[1] - 1
+    den = a * d - b * c
+    num = (d * rhs[0] - b * rhs[1], a * rhs[1] - c * rhs[0])
+    # preperiod digits last to first: y <- A^{-1} (w + y), with
+    # A^{-1} = adj(A) / q and adj(A) = [[-p, q], [-1, 0]]
+    for w in reversed(pre_w):
+        l, k = w.l * den + num[0], w.k * den + num[1]
+        num = (-p * l + q * k, -l)
+        den *= q
+    return RationalVec(Fraction(num[0], den), Fraction(num[1], den))
 
 
 def replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
@@ -112,7 +105,7 @@ def replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
 def verify_witness(ds: DigitSystem, delta: LatticeVec, w: Witness) -> bool:
     """True iff every digit of w lies in the difference set of ds and the
     word evaluates to delta (checked by integer replay)."""
-    allowed = set(difference_set(ds))
+    allowed = set(ds.differences)
     if any(d not in allowed for d in w.preperiod + w.period):
         return False
     return replays(ds.poly, delta, w)

@@ -12,10 +12,8 @@ pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
-
-Entry = Union[int, Fraction]
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 
 class LatticeVec(NamedTuple):
@@ -64,75 +62,14 @@ class CharPoly:
         return f"x^2{middle}{self.q:+d}"
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix over int/Fraction, rows [[a, b], [c, d]]."""
+def coord_action(poly: CharPoly, vec) -> tuple[int, int]:
+    """A applied to the vector with coordinates vec = (l, k).
 
-    a: Entry
-    b: Entry
-    c: Entry
-    d: Entry
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
-    def apply(self, vec) -> tuple:
-        x, y = vec
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def pow(self, n: int) -> "Mat2":
-        if n < 0:
-            raise ValueError("negative powers not supported; invert first")
-        out = Mat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def det(self) -> Entry:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> Entry:
-        return self.a + self.d
-
-    def inverse(self) -> "Mat2":
-        det = self.det()
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
-        return Mat2(
-            Fraction(self.d, 1) / det,
-            Fraction(-self.b, 1) / det,
-            Fraction(-self.c, 1) / det,
-            Fraction(self.a, 1) / det,
-        )
-
-    def inf_norm(self) -> Entry:
-        return max(abs(self.a) + abs(self.b), abs(self.c) + abs(self.d))
-
-
-# The coordinate action of A: by Cayley-Hamilton A*(Av) = -q*v - p*Av, so
-# A sends (l, k) to (-q*k, l - p*k).
-CoordAction = Mat2
-
-
-def coord_action(poly: CharPoly) -> CoordAction:
-    """Integer matrix acting on (l, k) coordinates the way A acts on vectors."""
-    return Mat2(0, -poly.q, 1, -poly.p)
+    By Cayley-Hamilton A*(Av) = -q*v - p*Av, so A sends (l, k) to
+    (-q*k, l - p*k).
+    """
+    l, k = vec
+    return (-poly.q * k, l - poly.p * k)
 
 
 def is_expanding(poly: CharPoly) -> bool:
@@ -199,6 +136,11 @@ class DigitSystem:
         if not is_expanding(poly):
             raise ValueError(f"{poly} is not expanding")
 
+    @cached_property
+    def differences(self) -> tuple[LatticeVec, ...]:
+        """The difference set of the digits, sorted; built on first use."""
+        return tuple(pairwise_differences(self.digits))
+
 
 def standard_digits(k: int) -> tuple[LatticeVec, ...]:
     """The three-digit set {0, v, k*Av} in coordinates: (0,0), (1,0), (0,k)."""
@@ -216,7 +158,7 @@ def pairwise_differences(digits: Iterable) -> list[LatticeVec]:
 
 def difference_set(ds: DigitSystem) -> list[LatticeVec]:
     """Difference set of the digit list; always symmetric and contains (0,0)."""
-    return pairwise_differences(ds.digits)
+    return list(ds.differences)
 
 
 def float_roots(poly: CharPoly) -> tuple[complex, complex]:

@@ -29,14 +29,12 @@ from itertools import accumulate, chain, compress, islice, product
 from typing import NamedTuple, Optional
 
 from .expansions import Witness, replays
-from .lattice import (
-    CharPoly,
-    DigitSystem,
-    LatticeVec,
-    coord_action,
-    difference_set,
-)
+from .lattice import CharPoly, DigitSystem, LatticeVec, coord_action
 from .series import SeriesBounds, envelope, series_sums
+
+# Largest state box _survivor_set will allocate: render's point budget, and
+# over 300 times the largest box of sweep --k-range -20..20 (5985 states).
+MAX_BOX_STATES = 2_000_000
 
 
 class StateBox(NamedTuple):
@@ -81,7 +79,7 @@ class EdgeGraph(NamedTuple):
 def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
     """Box containing every lattice vector of T - T: the envelope of all
     expansions with digits from the difference set, floored."""
-    l_radius, k_radius = envelope(bounds, difference_set(ds))
+    l_radius, k_radius = envelope(bounds, ds.differences)
     return StateBox(math.floor(l_radius), math.floor(k_radius))
 
 
@@ -100,6 +98,11 @@ def _survivor_set(
     p, q = poly.p, poly.q
     l_max, k_max = box
     width = 2 * l_max + 1
+    n_states = width * (2 * k_max + 1)
+    if n_states > MAX_BOX_STATES:
+        raise ValueError(
+            f"state box of {n_states} states exceeds the budget of {MAX_BOX_STATES}"
+        )
     # State (l, k) has index (k + k_max) * width + (l + l_max) and moves to
     # (-q*k - w.l, l - p*k - w.k).  Within a row of fixed k the move by w
     # stays in the box for one run of l, so a difference array per row
@@ -162,27 +165,29 @@ def survivors(ds: DigitSystem, margin: int = 0) -> frozenset[tuple[int, int]]:
     These are exactly the lattice vectors of T - T; enlarging the box must
     not change the set, which the tests exercise.
     """
-    dd = tuple(difference_set(ds))
-    _, alive = _survivor_set(ds.poly, dd, margin)
+    _, alive = _survivor_set(ds.poly, ds.differences, margin)
     return alive
 
 
 def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
-    """Decide delta in T - T; members come with a verified periodic witness."""
+    """Decide delta in T - T; members come with a verified periodic witness.
+
+    Raises ValueError when the state box holds more than MAX_BOX_STATES
+    states.
+    """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
-    dd = tuple(difference_set(ds))
+    dd = ds.differences
     box, alive = _survivor_set(ds.poly, dd, 0)
     if delta not in box or tuple(delta) not in alive:
         return MembershipOutcome(False, None)
 
     order = _walk_order(dd)
-    action = coord_action(ds.poly)
     seen: dict[tuple[int, int], int] = {}
     word: list[LatticeVec] = []
     state = tuple(delta)
     while state not in seen:
         seen[state] = len(word)
-        image = action.apply(state)
+        image = coord_action(ds.poly, state)
         for w in order:
             nxt = (image[0] - w.l, image[1] - w.k)
             if nxt in alive:

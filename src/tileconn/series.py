@@ -7,9 +7,10 @@ Writing A^{-i} v = alpha_i v + beta_i Av, the coefficient pairs satisfy
 
 and the same recurrence for beta with beta_1 = -1/q, beta_2 = p/q^2.
 Equivalently (alpha_i, beta_i) is the i-th inverse-action power applied to
-(1, 0).  All terms are exact rationals; the absolute series sums
-sum |alpha_i| and sum |beta_i| are certified from above by summing exact
-terms and adding a proven geometric tail bound.
+(1, 0).  Since A^{-1} = adj(A) / q, q^i * (alpha_i, beta_i) is an integer
+pair, and the terms are computed as such integer numerators.  The absolute
+series sums sum |alpha_i| and sum |beta_i| are certified from above by
+summing exact terms and adding a proven geometric tail bound.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .lattice import CharPoly, Mat2, coord_action, is_expanding
+from .lattice import CharPoly, is_expanding
 
-DEFAULT_TAIL_TOL = Fraction(1, 10**6)
+TAIL_TOL = Fraction(1, 10**6)
 _MAX_TERMS = 10_000
 _MAX_CONTRACTION_EXP = 64
 
@@ -45,14 +46,24 @@ class SeriesBounds(NamedTuple):
     tail_bound: Fraction
 
 
-def _term_iter(poly: CharPoly) -> Iterator[SeriesTerm]:
-    inv = coord_action(poly).inverse()
-    x: tuple = (Fraction(1), Fraction(0))
-    i = 0
+def _numerators(poly: CharPoly) -> Iterator[tuple[int, int]]:
+    """(a_i, b_i) = q^i * (alpha_i, beta_i) for i = 1, 2, ...
+
+    A^{-1} = adj(A) / q with adj(A) = [[-p, q], [-1, 0]] in coordinates,
+    so each term's numerators are the adjugate applied to the previous ones.
+    """
+    p, q = poly.p, poly.q
+    a, b = 1, 0
     while True:
-        i += 1
-        x = inv.apply(x)
-        yield SeriesTerm(i, x[0], x[1])
+        a, b = -p * a + q * b, -a
+        yield a, b
+
+
+def _term_iter(poly: CharPoly) -> Iterator[SeriesTerm]:
+    den = 1
+    for i, (a, b) in enumerate(_numerators(poly), 1):
+        den *= poly.q
+        yield SeriesTerm(i, Fraction(a, den), Fraction(b, den))
 
 
 def alpha_beta(poly: CharPoly, n: int) -> list[SeriesTerm]:
@@ -103,47 +114,52 @@ def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
 
     For any coefficient pair x_N, the tail sum over j >= 1 of
     ||inv^j x_N|| is at most ||x_N|| * G: split j = t*m + r and bound each
-    block of m consecutive terms by C * theta^t * ||x_N||.
+    block of m consecutive terms by C * theta^t * ||x_N||.  inv maps (0, 1)
+    to (1, 0), so inv^m has columns (alpha_m, beta_m) and
+    (alpha_{m-1}, beta_{m-1}), and its norm is a ratio of integers.
     """
-    inv = coord_action(poly).inverse()
-    power = Mat2.identity()
+    q_abs = abs(poly.q)
     c_max = Fraction(1)
-    for m in range(1, _MAX_CONTRACTION_EXP + 1):
-        power = power * inv
-        theta = power.inf_norm()
+    prev_a, prev_b, den = 1, 0, 1  # alpha_0 = 1, beta_0 = 0
+    for m, (a, b) in enumerate(islice(_numerators(poly), _MAX_CONTRACTION_EXP), 1):
+        num = max(abs(a) + q_abs * abs(prev_a), abs(b) + q_abs * abs(prev_b))
+        den *= q_abs
+        theta = Fraction(num, den)
         if theta < 1:
             g = c_max * ((m - 1) + Fraction(m) * theta / (1 - theta))
             return m, theta, g
         c_max = max(c_max, theta)
+        prev_a, prev_b = a, b
     raise ArithmeticError(f"no contracting power of the inverse action for {poly}")
 
 
 def _partial_bounds(poly: CharPoly, g: Fraction) -> Iterator[SeriesBounds]:
     """Bounds from the first n exact terms, for n = 1, 2, ... in turn."""
-    alpha_sum = Fraction(0)
-    beta_sum = Fraction(0)
+    q_abs = abs(poly.q)
+    # sum |alpha_i| and sum |beta_i| over i <= n, as numerators over |q|^n
+    alpha_num = beta_num = 0
+    den = 1
     tail = None
-    for term in _term_iter(poly):
-        alpha_sum += abs(term.alpha)
-        beta_sum += abs(term.beta)
-        raw = max(abs(term.alpha), abs(term.beta)) * g
+    for n, (a, b) in enumerate(_numerators(poly), 1):
+        alpha_num = alpha_num * q_abs + abs(a)
+        beta_num = beta_num * q_abs + abs(b)
+        den *= q_abs
+        raw = Fraction(max(abs(a), abs(b)), den) * g
         # Running minimum keeps the tail bound valid (earlier tails dominate
         # later true tails) and monotone, so growing N never loosens bounds.
         tail = raw if tail is None else min(tail, raw)
-        yield SeriesBounds(alpha_sum + tail, beta_sum + tail, term.index, tail)
+        yield SeriesBounds(
+            Fraction(alpha_num, den) + tail, Fraction(beta_num, den) + tail, n, tail
+        )
 
 
 @lru_cache(maxsize=None)
-def series_sums(
-    poly: CharPoly,
-    tail_tol: Fraction = DEFAULT_TAIL_TOL,
-    n_terms: int | None = None,
-) -> SeriesBounds:
+def series_sums(poly: CharPoly, n_terms: int | None = None) -> SeriesBounds:
     """Certified upper bounds for sum |alpha_i| and sum |beta_i|.
 
     With n_terms unset, the number of exact terms grows in steps of 20
-    until the certified tail bound drops below tail_tol.  Everything is
-    exact rational arithmetic; no floating point enters the result.
+    until the certified tail bound drops below TAIL_TOL.  The terms are
+    summed as integers over |q|^n; no floating point enters the result.
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
@@ -154,9 +170,9 @@ def series_sums(
             raise ValueError("n_terms must be positive")
         return next(islice(partial, n_terms - 1, None))
     for bounds in islice(partial, 19, _MAX_TERMS, 20):
-        if bounds.tail_bound < tail_tol:
+        if bounds.tail_bound < TAIL_TOL:
             return bounds
-    raise ArithmeticError(f"tail bound did not reach {tail_tol} within {_MAX_TERMS} terms")
+    raise ArithmeticError(f"tail bound did not reach {TAIL_TOL} within {_MAX_TERMS} terms")
 
 
 def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from tileconn.cli import main
+from tileconn.membership import MAX_BOX_STATES
 from tileconn.series import _MAX_TERMS
 
 
@@ -76,6 +77,20 @@ class TestDecide:
         assert code == 2
         assert "distinct" in err
 
+    # The over-budget inputs sit just above MAX_BOX_STATES, so a missing
+    # check fails these tests in seconds instead of exhausting memory.
+    def test_state_box_over_budget_rejected(self, capsys):
+        code, _, err = run(capsys, "decide", "--poly", "1,3", "--digits", "0,0;1,0;0,655")
+        assert code == 2
+        assert f"2010645 states exceeds the budget of {MAX_BOX_STATES}" in err
+
+    def test_membership_state_box_over_budget_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "decide", "--poly", "1,3", "--digits", "0,0;1,0;0,655", "--delta", "1,0"
+        )
+        assert code == 2
+        assert f"2010645 states exceeds the budget of {MAX_BOX_STATES}" in err
+
 
 class TestSweep:
     def test_summary_and_exit(self, capsys):
@@ -109,6 +124,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--k-range", "5..-5")
         assert code == 2
         assert "nondecreasing" in err
+
+    def test_state_box_over_budget_rejected(self, capsys):
+        # x^2-x-3, the first polynomial swept, needs 2009007 states at k = 408
+        code, out, err = run(capsys, "sweep", "--k-range", "408..408")
+        assert code == 2
+        assert out == ""
+        assert f"2009007 states exceeds the budget of {MAX_BOX_STATES}" in err
 
 
 class TestVerifyCorpus:

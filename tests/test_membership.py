@@ -15,6 +15,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tileconn import lattice
 from tileconn.expansions import eval_expansion, verify_witness
 from tileconn.lattice import (
     CharPoly,
@@ -48,7 +49,6 @@ def oracle_cycle_states(ds, box):
     """States lying on a cycle of the in-box transition graph, each with a
     concrete cycle word verified by exact evaluation."""
     dd = difference_set(ds)
-    action = coord_action(ds.poly)
     out = {}
     for start in box.states():
         # BFS over (state, path) until the walk returns to start
@@ -57,7 +57,7 @@ def oracle_cycle_states(ds, box):
         found = None
         while queue and found is None:
             state, path = queue.popleft()
-            image = action.apply(state)
+            image = coord_action(ds.poly, state)
             for w in dd:
                 nxt = (image[0] - w.l, image[1] - w.k)
                 if nxt not in box:
@@ -81,7 +81,6 @@ def oracle_member(ds, delta, cycles, box):
     if tuple(delta) not in box:
         return False
     dd = difference_set(ds)
-    action = coord_action(ds.poly)
     frontier = {tuple(delta): []}
     for _ in range(ORACLE_DEPTH + 1):
         for state, path in frontier.items():
@@ -91,7 +90,7 @@ def oracle_member(ds, delta, cycles, box):
                 return True
         nxt = {}
         for state, path in frontier.items():
-            image = action.apply(state)
+            image = coord_action(ds.poly, state)
             for w in dd:
                 cand = (image[0] - w.l, image[1] - w.k)
                 if cand in box and cand not in nxt:
@@ -198,10 +197,9 @@ class TestSurvivorsRobustness:
     def test_survivors_closed_under_transition(self):
         ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
         alive = survivors(ds)
-        action = coord_action(ds.poly)
         dd = difference_set(ds)
         for s in alive:
-            image = action.apply(s)
+            image = coord_action(ds.poly, s)
             assert any((image[0] - w.l, image[1] - w.k) in alive for w in dd)
 
 
@@ -336,3 +334,23 @@ class TestIsConnected:
                 if outcome.member:
                     for d in outcome.witness.preperiod + outcome.witness.period:
                         assert d in dd
+
+
+def test_difference_set_built_once_per_digit_system(monkeypatch):
+    calls = []
+    original = lattice.pairwise_differences
+
+    def counted(digits):
+        calls.append(1)
+        return original(digits)
+
+    monkeypatch.setattr(lattice, "pairwise_differences", counted)
+    ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
+    assert not calls  # building a system does not build its difference set
+    graph = edge_graph(ds)
+    for (i, j), witness in graph.witnesses.items():
+        assert verify_witness(ds, ds.digits[i] - ds.digits[j], witness)
+    survivors(ds, margin=2)
+    box_of(ds)
+    assert len(calls) == 1
+

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -145,3 +146,14 @@ class TestSeriesSums:
                 bounds = series_sums(poly)
                 assert bounds.terms_used % 20 == 0
                 assert bounds == series_sums(poly, n_terms=bounds.terms_used), poly
+
+    def test_frozen_bounds_digest(self):
+        # every bound for |q| in 2..6, frozen as exact rationals
+        lines = []
+        for det_abs in range(2, 7):
+            for poly in enumerate_expanding(det_abs):
+                b = series_sums(poly)
+                fields = (b.alpha_upper, b.beta_upper, b.terms_used, b.tail_bound)
+                lines.append(f"{poly.p},{poly.q}:" + "|".join(map(str, fields)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "2bc4299198e7f56f21318a9e9d4efdab8f14c73948c087fd84e6022b27cc9ee8"
