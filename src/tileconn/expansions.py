@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .lattice import CharPoly, DigitSystem, LatticeVec, coord_action, is_expanding
+from .lattice import CharPoly, DigitSystem, LatticeVec, _as_vecs, coord_action, is_expanding
 
 
 class RationalVec(NamedTuple):
@@ -34,10 +34,6 @@ class Witness(NamedTuple):
     period: tuple[LatticeVec, ...]
 
 
-def _as_word(digits: Iterable) -> tuple[LatticeVec, ...]:
-    return tuple(LatticeVec(int(d[0]), int(d[1])) for d in digits)
-
-
 def eval_expansion(poly: CharPoly, pre: Iterable, per: Iterable) -> RationalVec:
     """Exact value of the eventually periodic word (pre, per).
 
@@ -47,8 +43,8 @@ def eval_expansion(poly: CharPoly, pre: Iterable, per: Iterable) -> RationalVec:
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
-    pre_w = _as_word(pre)
-    per_w = _as_word(per)
+    pre_w = _as_vecs(pre)
+    per_w = _as_vecs(per)
     if not per_w:
         raise ValueError("period must be nonempty")
     p, q = poly.p, poly.q
@@ -135,7 +131,7 @@ def _item(label, p, q, k, delta, pre, per, word_in_dd):
         CharPoly(p, q),
         k,
         LatticeVec(*delta),
-        Witness(_as_word(pre), _as_word(per)),
+        Witness(_as_vecs(pre), _as_vecs(per)),
         word_in_dd,
     )
 

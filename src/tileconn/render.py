@@ -11,50 +11,46 @@ is half-away-from-zero.  Images are binary P6 PPM, black points on white.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
 
 from .lattice import CharPoly, DigitSystem, LatticeVec
-from .series import envelope, series_sums
 
-DEFAULT_POINT_BUDGET = 2_000_000
+POINT_BUDGET = 2_000_000
 
-_BLACK = b"\x00\x00\x00"
-_WHITE = b"\xff\xff\xff"
+# PPM grey level of a pixel value: 0 (unset) is white, anything else black
+_GREY = bytes([255]) + bytes(255)
 
 
 @dataclass(frozen=True)
 class RenderConfig:
+    """A render request; digits are normalized and the point budget checked."""
+
     poly: CharPoly
-    digits: tuple[LatticeVec, ...] = field()
+    digits: tuple[LatticeVec, ...]
     depth: int = 9
     width: int = 512
     height: int = 512
     margin: float = 0.05
 
-    def __init__(
-        self,
-        poly: CharPoly,
-        digits: Iterable,
-        depth: int = 9,
-        width: int = 512,
-        height: int = 512,
-        margin: float = 0.05,
-    ) -> None:
-        ds = DigitSystem(poly, digits)  # reuse digit/polynomial validation
-        object.__setattr__(self, "poly", poly)
+    def __post_init__(self) -> None:
+        ds = DigitSystem(self.poly, self.digits)  # reuse digit/polynomial validation
         object.__setattr__(self, "digits", ds.digits)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "margin", margin)
-        if depth < 1:
+        if self.depth < 1:
             raise ValueError("depth must be at least 1")
-        if width < 16 or height < 16:
+        if self.width < 16 or self.height < 16:
             raise ValueError("image must be at least 16x16")
-        if not (0 <= margin < 0.5):
+        if not (0 <= self.margin < 0.5):
             raise ValueError("margin must lie in [0, 0.5)")
+        # Past the budget's bit length even two digits exceed it.  Checking
+        # the depth first keeps the power small and stops a one-digit
+        # system, one point at any depth, from looping depth times.
+        n = len(self.digits)
+        if self.depth > POINT_BUDGET.bit_length() or n**self.depth > POINT_BUDGET:
+            raise ValueError(
+                f"depth {self.depth} with {n} digits exceeds the point budget of {POINT_BUDGET}"
+            )
 
 
 @dataclass
@@ -63,27 +59,18 @@ class ImageGrid:
     height: int
     pixels: bytearray  # row-major, 1 marks a set pixel
 
-    def at(self, col: int, row: int) -> int:
-        return self.pixels[row * self.width + col]
-
 
 def default_filename(poly: CharPoly, k: int, depth: int) -> str:
     return f"tile_p{poly.p}_q{poly.q}_k{k}_d{depth}.ppm"
 
 
-def _scaled_points(cfg: RenderConfig, budget: int) -> tuple[list[tuple[int, int]], int]:
+def _scaled_points(cfg: RenderConfig) -> tuple[list[tuple[int, int]], int]:
     """All depth-level points as integer numerators over denominator q^depth.
 
     One inverse-matrix application per word extension:
     n' = adj(A) (d * q^t + n) keeps numerators integral, since
     A^{-1} = adj(A) / q with adj(A) = [[-p, q], [-1, 0]].
     """
-    count = len(cfg.digits) ** cfg.depth
-    if count > budget:
-        raise ValueError(
-            f"depth {cfg.depth} with {len(cfg.digits)} digits needs {count} points, "
-            f"over the budget of {budget}"
-        )
     p, q = cfg.poly.p, cfg.poly.q
     points = [(0, 0)]
     q_t = 1
@@ -104,75 +91,52 @@ def _scaled_points(cfg: RenderConfig, budget: int) -> tuple[list[tuple[int, int]
     return points, q_t
 
 
-def attractor_points(cfg: RenderConfig, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[float, float]]:
-    """The |digits|^depth finite-depth points, as floats for consumers.
+def _axis_fit(lo: int, hi: int, pixels: int, margin: Fraction) -> tuple[int, int, int]:
+    """Integers (s, t, d) with pixel index (s*n + t) // d for lo <= n <= hi.
 
-    Multiplicities are preserved; deduplication happens only at raster time.
+    The index is offset + (n - lo) * usable / (hi - lo) rounded half away
+    from zero, where offset = margin * (pixels - 1) and usable =
+    (pixels - 1) * (1 - 2 * margin).  Over the common denominator
+    den = margin.denominator * span that value is x / den with x >= 0, and
+    rounding it is (2x + den) // (2 den).  A span of 0 maps to the centre.
     """
-    points, den = _scaled_points(cfg, budget)
-    return [(a / den, b / den) for a, b in points]
-
-
-def point_envelope(cfg: RenderConfig) -> tuple[Fraction, Fraction]:
-    """Certified bounds: every point (x, y) has |x|, |y| within these."""
-    return envelope(series_sums(cfg.poly), cfg.digits)
-
-
-def _round_half_away(num: int, den: int) -> int:
-    # den > 0; round num/den to the nearest integer, ties away from zero
-    if num >= 0:
-        return (2 * num + den) // (2 * den)
-    return -((-2 * num + den) // (2 * den))
-
-
-def _axis_map(lo: int, hi: int, pixels: int, margin: Fraction):
-    """Return f(n) -> pixel index along one axis, as exact integer math."""
     span = hi - lo
     if span == 0:
-        center = _round_half_away(pixels - 1, 2)
-        return lambda n: center
-    # offset + (n - lo) * usable / span, with offset = margin * (pixels - 1)
-    # and usable = (pixels - 1) * (1 - 2 * margin), over a common denominator
+        return 0, pixels // 2, 1
     md = margin.denominator
     offset_num = margin.numerator * (pixels - 1)
     usable_num = (pixels - 1) * (md - 2 * margin.numerator)
     den = md * span
-    base = offset_num * span
-
-    def to_pixel(n: int) -> int:
-        return _round_half_away(base + (n - lo) * usable_num, den)
-
-    return to_pixel
+    return 2 * usable_num, 2 * (offset_num * span - lo * usable_num) + den, 2 * den
 
 
-def rasterize(cfg: RenderConfig, budget: int = DEFAULT_POINT_BUDGET) -> ImageGrid:
+def rasterize(cfg: RenderConfig) -> ImageGrid:
     """Affine-fit the point cloud's bounding box into the grid and mark pixels."""
-    points, _ = _scaled_points(cfg, budget)
+    points, _ = _scaled_points(cfg)
     margin = Fraction(str(cfg.margin))
-    a_lo = min(a for a, _ in points)
-    a_hi = max(a for a, _ in points)
-    b_lo = min(b for _, b in points)
-    b_hi = max(b for _, b in points)
-    col_of = _axis_map(a_lo, a_hi, cfg.width, margin)
-    row_of = _axis_map(b_lo, b_hi, cfg.height, margin)
-    grid = ImageGrid(cfg.width, cfg.height, bytearray(cfg.width * cfg.height))
-    h1 = cfg.height - 1
-    for a, b in points:
-        col = col_of(a)
-        row = h1 - row_of(b)  # image row 0 is the top
-        grid.pixels[row * cfg.width + col] = 1
-    return grid
+    second = itemgetter(1)
+    cs, ct, cd = _axis_fit(min(points)[0], max(points)[0], cfg.width, margin)
+    rs, rt, rd = _axis_fit(
+        min(points, key=second)[1], max(points, key=second)[1], cfg.height, margin
+    )
+    w = cfg.width
+    top = (cfg.height - 1) * w  # image row 0 is the top
+    marked = {top - (rs * b + rt) // rd * w + (cs * a + ct) // cd for a, b in points}
+    pixels = bytearray(w * cfg.height)
+    for idx in marked:
+        pixels[idx] = 1
+    return ImageGrid(w, cfg.height, pixels)
 
 
 def write_image(grid: ImageGrid, path) -> None:
     """Write binary P6 PPM bytes; deterministic for a given grid."""
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    body = bytearray(len(grid.pixels) * 3)
-    for idx, val in enumerate(grid.pixels):
-        body[idx * 3 : idx * 3 + 3] = _BLACK if val else _WHITE
+    grey = grid.pixels.translate(_GREY)
+    body = bytearray(3 * len(grey))
+    body[0::3] = body[1::3] = body[2::3] = grey
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(bytes(body))
+        fh.write(body)
 
 
 def count_components(grid: ImageGrid, connectivity: int = 8) -> int:

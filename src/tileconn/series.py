@@ -133,26 +133,6 @@ def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
     raise ArithmeticError(f"no contracting power of the inverse action for {poly}")
 
 
-def _partial_bounds(poly: CharPoly, g: Fraction) -> Iterator[SeriesBounds]:
-    """Bounds from the first n exact terms, for n = 1, 2, ... in turn."""
-    q_abs = abs(poly.q)
-    # sum |alpha_i| and sum |beta_i| over i <= n, as numerators over |q|^n
-    alpha_num = beta_num = 0
-    den = 1
-    tail = None
-    for n, (a, b) in enumerate(_numerators(poly), 1):
-        alpha_num = alpha_num * q_abs + abs(a)
-        beta_num = beta_num * q_abs + abs(b)
-        den *= q_abs
-        raw = Fraction(max(abs(a), abs(b)), den) * g
-        # Running minimum keeps the tail bound valid (earlier tails dominate
-        # later true tails) and monotone, so growing N never loosens bounds.
-        tail = raw if tail is None else min(tail, raw)
-        yield SeriesBounds(
-            Fraction(alpha_num, den) + tail, Fraction(beta_num, den) + tail, n, tail
-        )
-
-
 @lru_cache(maxsize=None)
 def series_sums(poly: CharPoly, n_terms: int | None = None) -> SeriesBounds:
     """Certified upper bounds for sum |alpha_i| and sum |beta_i|.
@@ -160,18 +140,35 @@ def series_sums(poly: CharPoly, n_terms: int | None = None) -> SeriesBounds:
     With n_terms unset, the number of exact terms grows in steps of 20
     until the certified tail bound drops below TAIL_TOL.  The terms are
     summed as integers over |q|^n; no floating point enters the result.
+    The tail bound after n terms is G * min over i <= n of
+    max(|alpha_i|, |beta_i|): the running minimum keeps it valid (earlier
+    tails dominate later true tails) and monotone, so growing n never
+    loosens the bounds.
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
     _, _, g = _contraction_data(poly)
-    partial = _partial_bounds(poly, g)
-    if n_terms is not None:
-        if n_terms < 1:
-            raise ValueError("n_terms must be positive")
-        return next(islice(partial, n_terms - 1, None))
-    for bounds in islice(partial, 19, _MAX_TERMS, 20):
-        if bounds.tail_bound < TAIL_TOL:
-            return bounds
+    if n_terms is not None and n_terms < 1:
+        raise ValueError("n_terms must be positive")
+    q_abs = abs(poly.q)
+    # sum |alpha_i| and sum |beta_i| over i <= n, as numerators over |q|^n;
+    # the running minimum is tail_num / tail_den, starting at 1/0 (infinity)
+    alpha_num = beta_num = 0
+    den = 1
+    tail_num, tail_den = 1, 0
+    for n, (a, b) in enumerate(islice(_numerators(poly), n_terms or _MAX_TERMS), 1):
+        alpha_num = alpha_num * q_abs + abs(a)
+        beta_num = beta_num * q_abs + abs(b)
+        den *= q_abs
+        m = max(abs(a), abs(b))
+        if m * tail_den < tail_num * den:
+            tail_num, tail_den = m, den
+        if n == n_terms or (n_terms is None and n % 20 == 0):
+            tail = Fraction(tail_num, tail_den) * g
+            if n_terms is not None or tail < TAIL_TOL:
+                return SeriesBounds(
+                    Fraction(alpha_num, den) + tail, Fraction(beta_num, den) + tail, n, tail
+                )
     raise ArithmeticError(f"tail bound did not reach {TAIL_TOL} within {_MAX_TERMS} terms")
 
 

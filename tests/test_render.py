@@ -1,23 +1,25 @@
 """Renderer tests: exact point pipeline, rasterization, PPM output."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from tileconn import render
+from tileconn.cli import main
 from tileconn.lattice import CharPoly, standard_digits
 from tileconn.render import (
     ImageGrid,
     RenderConfig,
-    _round_half_away,
+    _axis_fit,
     _scaled_points,
-    attractor_points,
     count_components,
     default_filename,
-    point_envelope,
     rasterize,
     write_image,
 )
+from tileconn.series import envelope, series_sums
 
 
 def oracle_points(cfg):
@@ -54,51 +56,84 @@ class TestConfig:
     def test_default_filename(self):
         assert default_filename(CharPoly(1, -3), -2, 9) == "tile_p1_q-3_k-2_d9.ppm"
 
+    @pytest.mark.parametrize("digits", [standard_digits(1), [(0, 0)]])
+    def test_rejects_huge_depth(self, digits):
+        # one digit makes one point at any depth, but the depth is bounded too
+        with pytest.raises(ValueError, match=f"point budget of {render.POINT_BUDGET}"):
+            RenderConfig(CharPoly(0, 3), digits, depth=10**9)
+
+    def test_cli_huge_depth_exits_before_point_generation(self, capsys, monkeypatch, tmp_path):
+        def never(*args):
+            raise AssertionError("point generation reached")
+
+        monkeypatch.setattr(render, "_scaled_points", never)
+        out = tmp_path / "never.ppm"
+        code = main(["render", "--poly", "0,3", "--k", "1", "--depth", "1000000000",
+                     "--out", str(out)])
+        assert code == 2
+        assert "point budget" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPoints:
     @pytest.mark.parametrize("depth", [1, 2, 4])
     def test_point_count(self, depth):
         cfg = RenderConfig(CharPoly(1, 3), standard_digits(1), depth=depth)
-        assert len(attractor_points(cfg)) == 3**depth
+        assert len(_scaled_points(cfg)[0]) == 3**depth
 
     @pytest.mark.parametrize("p,q,k", [(0, 3, 1), (1, 3, 2), (2, 3, -1), (1, -3, 1)])
     def test_matches_rational_oracle(self, p, q, k):
         cfg = RenderConfig(CharPoly(p, q), standard_digits(k), depth=3)
-        nums, den = _scaled_points(cfg, budget=10**6)
+        nums, den = _scaled_points(cfg)
         fast = sorted((Fraction(a, den), Fraction(b, den)) for a, b in nums)
         assert fast == sorted(oracle_points(cfg))
 
-    def test_budget_enforced(self):
-        cfg = RenderConfig(CharPoly(0, 3), standard_digits(1), depth=5)
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(render, "POINT_BUDGET", 3**5 - 1)
         with pytest.raises(ValueError):
-            attractor_points(cfg, budget=3**5 - 1)
-        assert len(attractor_points(cfg, budget=3**5)) == 3**5
+            RenderConfig(CharPoly(0, 3), standard_digits(1), depth=5)
+        monkeypatch.setattr(render, "POINT_BUDGET", 3**5)
+        cfg = RenderConfig(CharPoly(0, 3), standard_digits(1), depth=5)
+        assert len(_scaled_points(cfg)[0]) == 3**5
 
     @pytest.mark.parametrize("p,q,k", [(0, 3, 1), (3, 3, 2), (1, -3, -1)])
     def test_envelope_contains_all_points(self, p, q, k):
         cfg = RenderConfig(CharPoly(p, q), standard_digits(k), depth=6)
-        x_max, y_max = point_envelope(cfg)
-        nums, den = _scaled_points(cfg, budget=10**6)
+        x_max, y_max = envelope(series_sums(cfg.poly), cfg.digits)
+        nums, den = _scaled_points(cfg)
         for a, b in nums:
             assert abs(Fraction(a, den)) <= x_max
             assert abs(Fraction(b, den)) <= y_max
 
 
-class TestRounding:
-    def test_half_away_from_zero(self):
-        assert _round_half_away(1, 2) == 1
-        assert _round_half_away(-1, 2) == -1
-        assert _round_half_away(3, 2) == 2
-        assert _round_half_away(-3, 2) == -2
-        assert _round_half_away(7, 3) == 2
-        assert _round_half_away(-7, 3) == -2
-        assert _round_half_away(0, 5) == 0
-
-    def test_error_at_most_half(self):
-        for num in range(-50, 51):
-            for den in (1, 2, 3, 7):
-                r = _round_half_away(num, den)
-                assert abs(Fraction(num, den) - r) <= Fraction(1, 2)
+class TestAxisFit:
+    # (lo, hi, pixels, margin, some value is a .5 tie)
+    @pytest.mark.parametrize("lo,hi,pixels,margin,ties", [
+        (0, 2, 16, Fraction(0), True),
+        (-7, 5, 512, Fraction(0), True),
+        (0, 9, 33, Fraction(0), False),
+        (-3, 1, 21, Fraction(1, 20), True),
+        (-10, 30, 101, Fraction(1, 20), True),
+        (5, 48, 100, Fraction(1, 20), False),
+        (-40, -10, 64, Fraction(1, 3), True),
+        (0, 8, 7, Fraction(1, 3), True),
+        (-9, 13, 17, Fraction(1, 3), False),
+        (4, 4, 16, Fraction(1, 20), True),
+        (-2, -2, 33, Fraction(0), False),
+    ])
+    def test_matches_exact_rounding(self, lo, hi, pixels, margin, ties):
+        s, t, d = _axis_fit(lo, hi, pixels, margin)
+        offset = margin * (pixels - 1)
+        usable = (pixels - 1) * (1 - 2 * margin)
+        span = hi - lo
+        exact = [
+            offset + (n - lo) * usable / span if span else Fraction(pixels - 1, 2)
+            for n in range(lo, hi + 1)
+        ]
+        assert [(s * n + t) // d for n in range(lo, hi + 1)] == [
+            math.floor(x + Fraction(1, 2)) for x in exact
+        ]
+        assert any(x.denominator == 2 for x in exact) == ties
 
 
 class TestRasterize:
@@ -115,9 +150,9 @@ class TestRasterize:
     def test_degenerate_bbox_centered(self):
         cfg = RenderConfig(CharPoly(1, 3), [(0, 0)], depth=2, width=16, height=16)
         grid = rasterize(cfg)
-        col = _round_half_away(15, 2)
-        row = 15 - _round_half_away(15, 2)
-        assert grid.at(col, row) == 1
+        centre = 8  # (16 - 1) / 2 rounded half away from zero
+        col, row = centre, 15 - centre
+        assert grid.pixels[row * grid.width + col] == 1
 
     def test_all_pixels_inside_grid(self):
         cfg = RenderConfig(CharPoly(3, 3), standard_digits(-2), depth=6, width=48, height=32)
