@@ -9,12 +9,13 @@ and 2 for usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import re
 import sys
 from bisect import bisect_left
 
 from .expansions import Witness, eval_expansion, expansion_catalog, verify_witness
-from .lattice import CharPoly, DigitSystem, LatticeVec, float_roots, is_expanding, standard_digits
+from .lattice import CharPoly, DigitSystem, LatticeVec, is_expanding, standard_digits
 from .membership import decide_membership, edge_graph
 from .render import RenderConfig, default_filename, rasterize, write_image
 from .series import _MAX_TERMS, alpha_beta, series_sums
@@ -42,8 +43,8 @@ def _parse_poly(text: str) -> CharPoly:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not is_expanding(poly):
-        r1, r2 = float_roots(poly)
-        culprit = min(r1, r2, key=abs)
+        sq = cmath.sqrt(complex(poly.discriminant))
+        culprit = min((-p + sq) / 2, (-p - sq) / 2, key=abs)
         shown = f"{culprit.real:.6g}" if abs(culprit.imag) < 1e-12 else f"{culprit:.6g}"
         raise CliError(
             f"{poly} is not expanding: root {shown} has modulus "

@@ -138,7 +138,7 @@ class DigitSystem:
 
     @cached_property
     def differences(self) -> tuple[LatticeVec, ...]:
-        """The difference set of the digits, sorted; built on first use."""
+        """The difference set of the digits in graded order; built on first use."""
         return tuple(pairwise_differences(self.digits))
 
 
@@ -150,20 +150,7 @@ def standard_digits(k: int) -> tuple[LatticeVec, ...]:
 
 
 def pairwise_differences(digits: Iterable) -> list[LatticeVec]:
-    """Deduplicated set {d - d' : d, d' in digits}, sorted lexicographically."""
+    """Deduplicated set {d - d' : d, d' in digits}, sorted by (|l| + |k|, (l, k))."""
     vecs = _as_vecs(digits)
     out = {a - b for a in vecs for b in vecs}
-    return sorted(out)
-
-
-def difference_set(ds: DigitSystem) -> list[LatticeVec]:
-    """Difference set of the digit list; always symmetric and contains (0,0)."""
-    return list(ds.differences)
-
-
-def float_roots(poly: CharPoly) -> tuple[complex, complex]:
-    """Floating-point roots, for diagnostics and cross-checks only."""
-    import cmath
-
-    sq = cmath.sqrt(complex(poly.discriminant))
-    return ((-poly.p + sq) / 2, (-poly.p - sq) / 2)
+    return sorted(out, key=lambda d: (abs(d.l) + abs(d.k), d))

@@ -46,13 +46,6 @@ class StateBox(NamedTuple):
     def __contains__(self, vec) -> bool:
         return abs(vec[0]) <= self.l_max and abs(vec[1]) <= self.k_max
 
-    def states(self) -> list[tuple[int, int]]:
-        return [
-            (l, k)
-            for l in range(-self.l_max, self.l_max + 1)
-            for k in range(-self.k_max, self.k_max + 1)
-        ]
-
 
 class MembershipOutcome(NamedTuple):
     member: bool
@@ -76,25 +69,22 @@ class EdgeGraph(NamedTuple):
     connected: bool
 
 
-def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
-    """Box containing every lattice vector of T - T: the envelope of all
-    expansions with digits from the difference set, floored."""
-    l_radius, k_radius = envelope(bounds, ds.differences)
+def _floored_envelope(bounds: SeriesBounds, dd) -> StateBox:
+    l_radius, k_radius = envelope(bounds, dd)
     return StateBox(math.floor(l_radius), math.floor(k_radius))
 
 
-def _walk_order(digits) -> list[LatticeVec]:
-    # graded order, so the zero digit is tried first and the all-zero word
-    # wins for delta = 0
-    return sorted(digits, key=lambda d: (abs(d.l) + abs(d.k), d))
+def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
+    """Box containing every lattice vector of T - T: the envelope of all
+    expansions with digits from the difference set, floored."""
+    return _floored_envelope(bounds, ds.differences)
 
 
 @lru_cache(maxsize=None)
 def _survivor_set(
-    poly: CharPoly, dd: tuple[LatticeVec, ...], margin: int
+    poly: CharPoly, dd: tuple[LatticeVec, ...]
 ) -> tuple[StateBox, frozenset[tuple[int, int]]]:
-    l_radius, k_radius = envelope(series_sums(poly), dd)
-    box = StateBox(math.floor(l_radius) + margin, math.floor(k_radius) + margin)
+    box = _floored_envelope(series_sums(poly), dd)
     p, q = poly.p, poly.q
     l_max, k_max = box
     width = 2 * l_max + 1
@@ -159,16 +149,6 @@ def _survivor_set(
     return box, frozenset(alive)
 
 
-def survivors(ds: DigitSystem, margin: int = 0) -> frozenset[tuple[int, int]]:
-    """States of the box (enlarged by margin) that admit infinite walks.
-
-    These are exactly the lattice vectors of T - T; enlarging the box must
-    not change the set, which the tests exercise.
-    """
-    _, alive = _survivor_set(ds.poly, ds.differences, margin)
-    return alive
-
-
 def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     """Decide delta in T - T; members come with a verified periodic witness.
 
@@ -177,18 +157,19 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
     dd = ds.differences
-    box, alive = _survivor_set(ds.poly, dd, 0)
+    box, alive = _survivor_set(ds.poly, dd)
     if delta not in box or tuple(delta) not in alive:
         return MembershipOutcome(False, None)
 
-    order = _walk_order(dd)
+    # dd is in graded order, so the zero digit is tried first and the
+    # all-zero word wins for delta = 0
     seen: dict[tuple[int, int], int] = {}
     word: list[LatticeVec] = []
     state = tuple(delta)
     while state not in seen:
         seen[state] = len(word)
         image = coord_action(ds.poly, state)
-        for w in order:
+        for w in dd:
             nxt = (image[0] - w.l, image[1] - w.k)
             if nxt in alive:
                 word.append(w)

@@ -18,14 +18,16 @@ from operator import itemgetter
 from .lattice import CharPoly, DigitSystem, LatticeVec
 
 POINT_BUDGET = 2_000_000
+PIXEL_BUDGET = 4096 * 4096
 
 # PPM grey level of a pixel value: 0 (unset) is white, anything else black
 _GREY = bytes([255]) + bytes(255)
+_SET = bytes(1) + bytes([1]) * 255  # a pixel value as 0 (unset) or 1 (set)
 
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """A render request; digits are normalized and the point budget checked."""
+    """A render request; digits are normalized and the budgets checked."""
 
     poly: CharPoly
     digits: tuple[LatticeVec, ...]
@@ -41,6 +43,10 @@ class RenderConfig:
             raise ValueError("depth must be at least 1")
         if self.width < 16 or self.height < 16:
             raise ValueError("image must be at least 16x16")
+        if self.width * self.height > PIXEL_BUDGET:
+            raise ValueError(
+                f"image of {self.width}x{self.height} exceeds the pixel budget of {PIXEL_BUDGET}"
+            )
         if not (0 <= self.margin < 0.5):
             raise ValueError("margin must lie in [0, 0.5)")
         # Past the budget's bit length even two digits exceed it.  Checking
@@ -141,29 +147,31 @@ def write_image(grid: ImageGrid, path) -> None:
 
 def count_components(grid: ImageGrid, connectivity: int = 8) -> int:
     """Number of connected components of set pixels (4- or 8-neighborhood)."""
+    w, h = grid.width, grid.height
+    pw = w + 2  # row stride of the copy with a one-pixel unset border
     if connectivity == 8:
-        offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+        steps = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
     elif connectivity == 4:
-        offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
+        steps = (-pw, -1, 1, pw)
     else:
         raise ValueError("connectivity must be 4 or 8")
-    w, h = grid.width, grid.height
-    seen = bytearray(len(grid.pixels))
+    # the border keeps neighbour steps in range and off the next row
+    todo = bytearray(pw * (h + 2))
+    flat = grid.pixels.translate(_SET)
+    for r in range(h):
+        todo[(r + 1) * pw + 1 : (r + 1) * pw + 1 + w] = flat[r * w : (r + 1) * w]
     count = 0
-    for start in range(len(grid.pixels)):
-        if not grid.pixels[start] or seen[start]:
-            continue
+    start = todo.find(1)
+    while start >= 0:
         count += 1
+        todo[start] = 0
         stack = [start]
-        seen[start] = 1
         while stack:
             pos = stack.pop()
-            row, col = divmod(pos, w)
-            for dr, dc in offsets:
-                r, c = row + dr, col + dc
-                if 0 <= r < h and 0 <= c < w:
-                    nxt = r * w + c
-                    if grid.pixels[nxt] and not seen[nxt]:
-                        seen[nxt] = 1
-                        stack.append(nxt)
+            for step in steps:
+                nxt = pos + step
+                if todo[nxt]:
+                    todo[nxt] = 0
+                    stack.append(nxt)
+        start = todo.find(1, start + 1)
     return count

@@ -59,52 +59,18 @@ def _numerators(poly: CharPoly) -> Iterator[tuple[int, int]]:
         yield a, b
 
 
-def _term_iter(poly: CharPoly) -> Iterator[SeriesTerm]:
-    den = 1
-    for i, (a, b) in enumerate(_numerators(poly), 1):
-        den *= poly.q
-        yield SeriesTerm(i, Fraction(a, den), Fraction(b, den))
-
-
 def alpha_beta(poly: CharPoly, n: int) -> list[SeriesTerm]:
     """First n coefficient pairs (exact rationals), indices 1..n."""
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    it = _term_iter(poly)
-    return [next(it) for _ in range(n)]
-
-
-def closed_form_check(poly: CharPoly, n: int, tol: float = 1e-9) -> bool:
-    """Cross-check the recurrence against the closed form, in floats.
-
-    With y1, y2 the roots of q*x^2 + p*x + 1 (the reciprocals of the roots
-    of the polynomial) and s = sqrt(p^2 - 4q),
-
-        alpha_i = q * (y1^(i+1) - y2^(i+1)) / s,
-        beta_i  = -(y1^i - y2^i) / s.
-
-    Rejects a vanishing discriminant, where the closed form degenerates.
-    """
-    import cmath
-
-    disc = poly.discriminant
-    if disc == 0:
-        raise ValueError("discriminant is zero; closed form needs distinct roots")
-    s = cmath.sqrt(complex(disc))
-    y1 = (-poly.p + s) / (2 * poly.q)
-    y2 = (-poly.p - s) / (2 * poly.q)
-    it = _term_iter(poly)
-    for _ in range(n):
-        term = next(it)
-        alpha_c = poly.q * (y1 ** (term.index + 1) - y2 ** (term.index + 1)) / s
-        beta_c = -(y1**term.index - y2**term.index) / s
-        if abs(alpha_c - float(term.alpha)) > tol:
-            return False
-        if abs(beta_c - float(term.beta)) > tol:
-            return False
-    return True
+    terms = []
+    den = 1
+    for i, (a, b) in enumerate(islice(_numerators(poly), n), 1):
+        den *= poly.q
+        terms.append(SeriesTerm(i, Fraction(a, den), Fraction(b, den)))
+    return terms
 
 
 def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
@@ -179,8 +145,9 @@ def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:
     so the sum has l = k_1 + sum (k_{i+1} + l_i) alpha_i and
     k = sum (k_{i+1} + l_i) beta_i.  With c the largest |k' + l| over pairs
     from vecs and K the largest |k| coordinate, |l| <= K + c * sum|alpha|
-    and |k| <= c * sum|beta|.
+    and |k| <= c * sum|beta|.  The pair's two coordinates are chosen
+    independently, so c comes from the coordinate extremes in one pass.
     """
-    k_coord_max = max(abs(w.k) for w in vecs)
-    c = max(abs(a.k + b.l) for a in vecs for b in vecs)
-    return k_coord_max + c * bounds.alpha_upper, c * bounds.beta_upper
+    ks, ls = [w.k for w in vecs], [w.l for w in vecs]
+    c = max(max(ks) + max(ls), -(min(ks) + min(ls)))
+    return max(map(abs, ks)) + c * bounds.alpha_upper, c * bounds.beta_upper

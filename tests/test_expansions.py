@@ -11,7 +11,7 @@ from tileconn.expansions import (
     replays,
     verify_witness,
 )
-from tileconn.lattice import CharPoly, DigitSystem, LatticeVec, difference_set, standard_digits
+from tileconn.lattice import CharPoly, DigitSystem, LatticeVec, standard_digits
 from tileconn.series import alpha_beta
 
 POLY_POOL = [CharPoly(p, q) for p, q in [(0, 3), (1, 3), (-1, 3), (2, 3), (3, 3), (1, -3), (0, -3), (0, 2), (2, 2)]]
@@ -119,7 +119,7 @@ class TestCorpus:
     def test_word_in_dd_flags_match(self):
         for item in expansion_catalog():
             ds = DigitSystem(item.poly, standard_digits(item.k))
-            allowed = set(difference_set(ds))
+            allowed = set(ds.differences)
             in_dd = all(d in allowed for d in item.witness.preperiod + item.witness.period)
             assert in_dd == item.word_in_dd, item.label
             if item.word_in_dd:

@@ -6,10 +6,13 @@ word is re-verified by exact expansion evaluation), then asks whether delta
 reaches a certified cycle state within a few steps, re-verifying the whole
 preperiod-plus-cycle word exactly.  Oracle and decider must agree on every
 box state.  The survivor oracle computes the greatest fixed point by
-repeated full passes over the box, which the worklist must reproduce.
+repeated full passes over the box, which the worklist must reproduce; run
+on a box enlarged by a margin, it must find the same survivors, since they
+are exactly the lattice vectors of T - T.
 """
 
-import math
+import hashlib
+import random
 from collections import deque
 
 import pytest
@@ -22,20 +25,19 @@ from tileconn.lattice import (
     DigitSystem,
     LatticeVec,
     coord_action,
-    difference_set,
     enumerate_expanding,
     standard_digits,
 )
 from tileconn.membership import (
-    StateBox,
     _survivor_set,
     decide_membership,
     edge_graph,
     is_connected,
     state_box,
-    survivors,
 )
-from tileconn.series import envelope, series_sums
+from tileconn.series import series_sums
+
+from oracles import box_states, survivors_by_passes
 
 ORACLE_DEPTH = 8
 QUADRATICS = [poly for det_abs in range(2, 7) for poly in enumerate_expanding(det_abs)]
@@ -45,12 +47,16 @@ def box_of(ds):
     return state_box(ds, series_sums(ds.poly))
 
 
+def survivors(ds):
+    return _survivor_set(ds.poly, ds.differences)[1]
+
+
 def oracle_cycle_states(ds, box):
     """States lying on a cycle of the in-box transition graph, each with a
     concrete cycle word verified by exact evaluation."""
-    dd = difference_set(ds)
+    dd = ds.differences
     out = {}
-    for start in box.states():
+    for start in box_states(box):
         # BFS over (state, path) until the walk returns to start
         seen = {start}
         queue = deque([(start, [])])
@@ -80,7 +86,7 @@ def oracle_member(ds, delta, cycles, box):
     delta = LatticeVec(*delta)
     if tuple(delta) not in box:
         return False
-    dd = difference_set(ds)
+    dd = ds.differences
     frontier = {tuple(delta): []}
     for _ in range(ORACLE_DEPTH + 1):
         for state, path in frontier.items():
@@ -97,25 +103,6 @@ def oracle_member(ds, delta, cycles, box):
                     nxt[cand] = path + [w]
         frontier = nxt
     return False
-
-
-def survivors_by_passes(poly, dd, margin):
-    """Reference fixed point: drop states without a surviving successor in
-    repeated full passes over the box until a pass changes nothing."""
-    l_radius, k_radius = envelope(series_sums(poly), dd)
-    box = StateBox(math.floor(l_radius) + margin, math.floor(k_radius) + margin)
-    p, q = poly.p, poly.q
-    alive = set(box.states())
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            image_l = -q * s[1]
-            image_k = s[0] - p * s[1]
-            if not any((image_l - w.l, image_k - w.k) in alive for w in dd):
-                alive.discard(s)
-                changed = True
-    return box, frozenset(alive)
 
 
 class TestStateBox:
@@ -179,7 +166,7 @@ class TestDecideMembership:
             for k in (1, 2, -3):
                 ds = DigitSystem(poly, standard_digits(k))
                 box = box_of(ds)
-                for s in box.states():
+                for s in box_states(box):
                     d = LatticeVec(*s)
                     assert decide_membership(ds, d).member == decide_membership(ds, -d).member
 
@@ -189,15 +176,13 @@ class TestSurvivorsRobustness:
         for poly in enumerate_expanding(3):
             for k in (1, -2):
                 ds = DigitSystem(poly, standard_digits(k))
-                base = survivors(ds)
-                padded = survivors(ds, margin=2)
-                box = box_of(ds)
-                assert {s for s in padded if s in box} == base
+                _, padded = survivors_by_passes(poly, ds.differences, 2)
+                assert padded == survivors(ds)
 
     def test_survivors_closed_under_transition(self):
         ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
         alive = survivors(ds)
-        dd = difference_set(ds)
+        dd = ds.differences
         for s in alive:
             image = coord_action(ds.poly, s)
             assert any((image[0] - w.l, image[1] - w.k) in alive for w in dd)
@@ -208,10 +193,10 @@ class TestSurvivorWorklist:
     def test_matches_repeated_passes(self, det_abs):
         for poly in enumerate_expanding(det_abs):
             for k in (1, 2, 6):
-                dd = tuple(difference_set(DigitSystem(poly, standard_digits(k))))
-                for margin in (0, 2):
-                    expected = survivors_by_passes(poly, dd, margin)
-                    assert _survivor_set.__wrapped__(poly, dd, margin) == expected, (poly, k)
+                dd = DigitSystem(poly, standard_digits(k)).differences
+                box, alive = _survivor_set.__wrapped__(poly, dd)
+                assert (box, alive) == survivors_by_passes(poly, dd, 0), (poly, k)
+                assert alive == survivors_by_passes(poly, dd, 2)[1], (poly, k)
 
     @given(
         st.sampled_from(QUADRATICS),
@@ -222,16 +207,19 @@ class TestSurvivorWorklist:
     )
     @settings(max_examples=60)
     def test_matches_repeated_passes_random_digits(self, poly, digits, margin):
-        dd = tuple(difference_set(DigitSystem(poly, digits)))
-        assert _survivor_set.__wrapped__(poly, dd, margin) == survivors_by_passes(poly, dd, margin)
+        dd = DigitSystem(poly, digits).differences
+        box, alive = _survivor_set.__wrapped__(poly, dd)
+        expected_box, expected = survivors_by_passes(poly, dd, margin)
+        assert alive == expected
+        assert box == (expected_box.l_max - margin, expected_box.k_max - margin)
 
     def test_more_successors_than_a_byte_holds(self):
         # 81 digits give 289 differences, and central states of this box
         # keep all 289 successors inside it
         poly = CharPoly(0, 3)
         digits = [(l, k) for l in range(-4, 5) for k in range(-4, 5)]
-        dd = tuple(difference_set(DigitSystem(poly, digits)))
-        assert _survivor_set.__wrapped__(poly, dd, 0) == survivors_by_passes(poly, dd, 0)
+        dd = DigitSystem(poly, digits).differences
+        assert _survivor_set.__wrapped__(poly, dd) == survivors_by_passes(poly, dd, 0)
 
 
 class TestOracleEquivalence:
@@ -241,7 +229,7 @@ class TestOracleEquivalence:
             ds = DigitSystem(poly, standard_digits(k))
             box = box_of(ds)
             cycles = oracle_cycle_states(ds, box)
-            for s in box.states():
+            for s in box_states(box):
                 expected = oracle_member(ds, s, cycles, box)
                 assert decide_membership(ds, LatticeVec(*s)).member == expected, (poly, k, s)
 
@@ -316,18 +304,25 @@ class TestIsConnected:
     def test_single_digit_connected(self):
         assert is_connected(DigitSystem(CharPoly(1, 3), [(0, 0)]))
 
-    @given(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5, unique=True
+        ),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
     @settings(max_examples=25)
-    def test_translation_invariance(self, shift):
-        # the verdict only depends on digit differences
-        base = [(0, 0), (1, 0), (0, 1)]
-        moved = [(l + shift[0], k + shift[1]) for l, k in base]
-        poly = CharPoly(1, 3)
-        assert is_connected(DigitSystem(poly, base)) == is_connected(DigitSystem(poly, moved))
+    def test_translation_invariance(self, poly, digits, shift):
+        # the verdict only depends on digit differences, and negating every
+        # digit leaves the (symmetric) difference set as it is
+        verdict = is_connected(DigitSystem(poly, digits))
+        moved = [(l + shift[0], k + shift[1]) for l, k in digits]
+        assert is_connected(DigitSystem(poly, moved)) == verdict
+        assert is_connected(DigitSystem(poly, [(-l, -k) for l, k in digits])) == verdict
 
     def test_witness_words_stay_in_difference_set(self):
         ds = DigitSystem(CharPoly(3, 3), standard_digits(-1))
-        dd = set(difference_set(ds))
+        dd = set(ds.differences)
         for i in range(3):
             for j in range(i + 1, 3):
                 outcome = decide_membership(ds, ds.digits[i] - ds.digits[j])
@@ -350,7 +345,44 @@ def test_difference_set_built_once_per_digit_system(monkeypatch):
     graph = edge_graph(ds)
     for (i, j), witness in graph.witnesses.items():
         assert verify_witness(ds, ds.digits[i] - ds.digits[j], witness)
-    survivors(ds, margin=2)
+    survivors(ds)
     box_of(ds)
     assert len(calls) == 1
 
+
+
+def test_frozen_witness_digest():
+    # 600 seeded systems over |q| in 2..6 with 2-5 digits in [-2, 2]^2, four
+    # queries each: one digit difference, two box states and one state just
+    # outside the box.  The digest covers every verdict and witness word, so
+    # any change to the walk order or the survivor set shows here.
+    rng = random.Random(20261018)
+    cells = [(l, k) for l in range(-2, 3) for k in range(-2, 3)]
+    digest = hashlib.sha256()
+    members = 0
+    for _ in range(600):
+        ds = DigitSystem(rng.choice(QUADRATICS), rng.sample(cells, rng.randint(2, 5)))
+        box = box_of(ds)
+        i, j = rng.sample(range(len(ds.digits)), 2)
+        deltas = [ds.digits[i] - ds.digits[j]]
+        for _ in range(2):
+            deltas.append(
+                LatticeVec(rng.randint(-box.l_max, box.l_max), rng.randint(-box.k_max, box.k_max))
+            )
+        deltas.append(
+            LatticeVec(rng.randint(-box.l_max, box.l_max), rng.choice((-1, 1)) * (box.k_max + 1))
+        )
+        for delta in deltas:
+            outcome = decide_membership(ds, delta)
+            w = outcome.witness
+            members += outcome.member
+            record = (
+                outcome.member,
+                w and [tuple(d) for d in w.preperiod],
+                w and [tuple(d) for d in w.period],
+            )
+            digest.update(repr(record).encode())
+    assert members == 661
+    assert digest.hexdigest() == (
+        "20e819bd9603379d5c724fb1004fb1f6436c43b8d4fd6bc8ae3eaa90765673e3"
+    )

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tileconn import render
 from tileconn.cli import main
@@ -72,6 +73,23 @@ class TestConfig:
                      "--out", str(out)])
         assert code == 2
         assert "point budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_huge_image(self):
+        with pytest.raises(ValueError, match=f"pixel budget of {render.PIXEL_BUDGET}"):
+            RenderConfig(CharPoly(0, 3), standard_digits(1), width=4097, height=4096)
+        RenderConfig(CharPoly(0, 3), standard_digits(1), width=4096, height=4096)
+
+    def test_cli_huge_image_exits_before_point_generation(self, capsys, monkeypatch, tmp_path):
+        def never(*args):
+            raise AssertionError("point generation reached")
+
+        monkeypatch.setattr(render, "_scaled_points", never)
+        out = tmp_path / "never.ppm"
+        code = main(["render", "--poly", "0,3", "--k", "1", "--size", "100000x100000",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"pixel budget of {render.PIXEL_BUDGET}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -190,6 +208,35 @@ class TestComponents:
         grid = ImageGrid(4, 4, pixels)
         assert count_components(grid, connectivity=8) == 1
         assert count_components(grid, connectivity=4) == 2
+
+    def test_row_ends_do_not_touch(self):
+        # end of row 0 and start of row 1 are adjacent in memory only
+        pixels = bytearray(16)
+        pixels[3] = pixels[4] = 1
+        grid = ImageGrid(4, 4, pixels)
+        assert count_components(grid, connectivity=8) == 2
+        assert count_components(grid, connectivity=4) == 2
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.data(), st.sampled_from([4, 8]))
+    def test_matches_bounds_checked_search(self, w, h, data, connectivity):
+        pixels = bytearray(data.draw(st.lists(st.integers(0, 2), min_size=w * h, max_size=w * h)))
+        offsets = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                   if (dr or dc) and (connectivity == 8 or not (dr and dc))]
+        seen, count = set(), 0
+        for start in range(w * h):
+            if pixels[start] and start not in seen:
+                count += 1
+                seen.add(start)
+                stack = [divmod(start, w)]
+                while stack:
+                    r, c = stack.pop()
+                    for dr, dc in offsets:
+                        nr, nc = r + dr, c + dc
+                        if 0 <= nr < h and 0 <= nc < w and pixels[nr * w + nc]:
+                            if nr * w + nc not in seen:
+                                seen.add(nr * w + nc)
+                                stack.append((nr, nc))
+        assert count_components(ImageGrid(w, h, pixels), connectivity) == count
 
     def test_rejects_bad_connectivity(self):
         with pytest.raises(ValueError):

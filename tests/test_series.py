@@ -1,12 +1,41 @@
+import cmath
 import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tileconn.lattice import CharPoly, enumerate_expanding
-from tileconn.series import alpha_beta, closed_form_check, series_sums
+from tileconn.lattice import CharPoly, LatticeVec, enumerate_expanding
+from tileconn.series import alpha_beta, envelope, series_sums
 
 MILLIONTH = Fraction(1, 10**6)
+
+
+def closed_form_check(poly, n, tol=1e-9):
+    """Float oracle: the first n terms against the closed form.
+
+    With y1, y2 the roots of q*x^2 + p*x + 1 (the reciprocals of the roots
+    of the polynomial) and s = sqrt(p^2 - 4q),
+
+        alpha_i = q * (y1^(i+1) - y2^(i+1)) / s,
+        beta_i  = -(y1^i - y2^i) / s.
+
+    Rejects a vanishing discriminant, where the closed form degenerates.
+    """
+    disc = poly.discriminant
+    if disc == 0:
+        raise ValueError("discriminant is zero; closed form needs distinct roots")
+    s = cmath.sqrt(complex(disc))
+    y1 = (-poly.p + s) / (2 * poly.q)
+    y2 = (-poly.p - s) / (2 * poly.q)
+    for term in alpha_beta(poly, n):
+        alpha_c = poly.q * (y1 ** (term.index + 1) - y2 ** (term.index + 1)) / s
+        beta_c = -(y1**term.index - y2**term.index) / s
+        if abs(alpha_c - float(term.alpha)) > tol:
+            return False
+        if abs(beta_c - float(term.beta)) > tol:
+            return False
+    return True
 
 
 class TestAlphaBeta:
@@ -157,3 +186,20 @@ class TestSeriesSums:
                 lines.append(f"{poly.p},{poly.q}:" + "|".join(map(str, fields)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "2bc4299198e7f56f21318a9e9d4efdab8f14c73948c087fd84e6022b27cc9ee8"
+
+
+class TestEnvelope:
+    @given(
+        st.sampled_from(enumerate_expanding(3)),
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=8),
+    )
+    def test_matches_pairwise_oracle(self, poly, vecs):
+        # c is the largest |a.k + b.l| over all ordered pairs of vectors
+        vecs = [LatticeVec(*v) for v in vecs]
+        bounds = series_sums(poly)
+        c = max(abs(a.k + b.l) for a in vecs for b in vecs)
+        k_coord_max = max(abs(w.k) for w in vecs)
+        assert envelope(bounds, vecs) == (
+            k_coord_max + c * bounds.alpha_upper,
+            c * bounds.beta_upper,
+        )
