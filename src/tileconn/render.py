@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import CharPoly, DigitSystem, LatticeVec
+from .lattice import CharPoly, DigitSystem, LatticeVec, adj_action
 
 POINT_BUDGET = 2_000_000
 PIXEL_BUDGET = 4096 * 4096
@@ -73,16 +73,15 @@ def _cloud(poly: CharPoly, levels) -> list[tuple[int, int]]:
     """Numerators sum_t adj^(L-t)(d_t * q^t), one per choice of d_t in levels[t].
 
     Over the denominator q^L, L = len(levels), these are the points
-    sum_t A^{-(L-t)} d_t.  One step n' = adj(A) (d * q^t + n) per level,
-    with adj(A) = q A^{-1} = [[-p, q], [-1, 0]], keeps them integral.
+    sum_t A^{-(L-t)} d_t.  One step n' = adj(A) (d * q^t + n) per level
+    keeps them integral.
     """
-    p, q = poly.p, poly.q
     points = [(0, 0)]
     q_t = 1
     for digits in levels:
         shifted = [(l * q_t + n_l, k * q_t + n_k) for l, k in digits for n_l, n_k in points]
-        points = [(-p * l + q * k, -l) for l, k in shifted]
-        q_t *= q
+        points = [adj_action(poly, n) for n in shifted]
+        q_t *= poly.q
     return points
 
 
@@ -92,13 +91,12 @@ def _bounds(poly: CharPoly, digits, depth: int) -> tuple[list[int], list[int]]:
     Each level t picks its digit on its own and adds adj^(depth-t)(d * q^t),
     so an extreme is the sum over levels of the extremes over the digits.
     """
-    p, q = poly.p, poly.q
     lo, hi = [0, 0], [0, 0]
     for t in reversed(range(depth)):
-        digits = [(-p * l + q * k, -l) for l, k in digits]  # adj^(depth-t) d
+        digits = [adj_action(poly, d) for d in digits]  # adj^(depth-t) d
         for axis, terms in enumerate(zip(*digits)):
-            lo[axis] += min(x * q**t for x in terms)
-            hi[axis] += max(x * q**t for x in terms)
+            lo[axis] += min(x * poly.q**t for x in terms)
+            hi[axis] += max(x * poly.q**t for x in terms)
     return lo, hi
 
 

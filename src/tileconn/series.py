@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .lattice import CharPoly, is_expanding
+from .lattice import CharPoly, adj_action, is_expanding
 
 TAIL_TOL = Fraction(1, 10**6)
 _MAX_TERMS = 10_000
@@ -47,16 +47,12 @@ class SeriesBounds(NamedTuple):
 
 
 def _numerators(poly: CharPoly) -> Iterator[tuple[int, int]]:
-    """(a_i, b_i) = q^i * (alpha_i, beta_i) for i = 1, 2, ...
-
-    A^{-1} = adj(A) / q with adj(A) = [[-p, q], [-1, 0]] in coordinates,
-    so each term's numerators are the adjugate applied to the previous ones.
-    """
-    p, q = poly.p, poly.q
-    a, b = 1, 0
+    """(a_i, b_i) = q^i * (alpha_i, beta_i) for i = 1, 2, ...: each is the
+    adjugate applied to the previous one."""
+    ab = (1, 0)
     while True:
-        a, b = -p * a + q * b, -a
-        yield a, b
+        ab = adj_action(poly, ab)
+        yield ab
 
 
 def alpha_beta(poly: CharPoly, n: int) -> list[SeriesTerm]:

@@ -4,8 +4,8 @@ Runs the decision engine over every expanding polynomial with |q| = 3 and a
 range of k values for the digit set {0, v, k*Av}, checks the expected
 verdict (connected exactly when |k| = 1), the p -> -p, k -> -k mirror
 equivalence, and the two always-connected companion digit sets
-{0, v, Av + v} and {0, v, -Av + v}.  Reports serialize to a line format and
-a JSON format; both omit timing so repeated runs are byte-identical.
+{0, v, Av + v} and {0, v, -Av + v}.  Reports serialize to JSON, without
+timing, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -121,23 +121,6 @@ def corollary_check() -> bool:
             if not is_connected(DigitSystem(poly, digits)):
                 return False
     return True
-
-
-def report_lines(report: SweepReport) -> str:
-    """Line-oriented serialization, one record per instance.
-
-    Format: "p=<int> q=<int> k=<int> connected=<0|1> edges=<i-j,...|->"
-    followed by a final "theorem_verdict=<0|1>" line.  Deterministic;
-    timing is deliberately excluded.
-    """
-    lines = []
-    for e in report.entries:
-        edges = ",".join(f"{i}-{j}" for i, j in e.edges) or "-"
-        lines.append(
-            f"p={e.poly.p} q={e.poly.q} k={e.k} connected={int(e.connected)} edges={edges}"
-        )
-    lines.append(f"theorem_verdict={int(report.theorem_verdict)}")
-    return "\n".join(lines) + "\n"
 
 
 def _witness_json(ew: EdgeWitness) -> dict:

@@ -6,7 +6,8 @@ import re
 import pytest
 
 from tileconn.cli import main
-from tileconn.membership import MAX_BOX_STATES, MAX_DIGIT_PAIRS
+from tileconn.lattice import MAX_DIGIT_PAIRS
+from tileconn.membership import MAX_BOX_STATES
 from tileconn.series import _MAX_TERMS
 
 
@@ -91,6 +92,19 @@ class TestDecide:
         assert code == 2
         assert f"404550 digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}" in err
 
+    def test_membership_digit_pairs_over_budget_rejected(self, capsys):
+        # 142 collinear digits make 10011 pairs, one digit past the budget
+        digits = ";".join(f"{i},0" for i in range(142))
+        code, _, err = run(capsys, "decide", "--poly", "1,3", "--digits", digits, "--delta", "1,0")
+        assert code == 2
+        assert f"10011 digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}" in err
+
+    def test_flag_is_not_taken_as_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", "--poly", "0,3", "--digits", "--delta", "1,0"])
+        assert exc.value.code == 2
+        assert "--digits: expected one argument" in capsys.readouterr().err
+
     def test_membership_state_box_over_budget_rejected(self, capsys):
         code, _, err = run(
             capsys, "decide", "--poly", "1,3", "--digits", "0,0;1,0;0,655", "--delta", "1,0"
@@ -131,6 +145,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--k-range", "5..-5")
         assert code == 2
         assert "nondecreasing" in err
+
+    def test_range_without_nonzero_k_rejected(self, capsys):
+        code, out, err = run(capsys, "sweep", "--k-range", "0..0")
+        assert code == 2
+        assert out == ""
+        assert "nonzero k" in err
+
+    def test_flag_is_not_taken_as_a_report_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--k-range", "1..1", "--report", "--witnesses"])
+        assert exc.value.code == 2
+        assert "--report: expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_state_box_over_budget_rejected(self, capsys):
         # x^2-x-3, the first polynomial swept, needs 2009007 states at k = 408

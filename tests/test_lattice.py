@@ -7,12 +7,15 @@ from tileconn.lattice import (
     CharPoly,
     DigitSystem,
     LatticeVec,
+    adj_action,
     coord_action,
     enumerate_expanding,
     is_expanding,
     pairwise_differences,
     standard_digits,
 )
+
+from oracles import QUADRATICS
 
 TEN_POLYS = [(-1, -3), (0, -3), (1, -3), (-3, 3), (-2, 3), (-1, 3), (0, 3), (1, 3), (2, 3), (3, 3)]
 
@@ -57,6 +60,13 @@ class TestCoordAction:
         mv = coord_action(poly, vec)
         assert mm[0] + p * mv[0] + q * vec[0] == 0
         assert mm[1] + p * mv[1] + q * vec[1] == 0
+
+
+class TestAdjAction:
+    @given(st.sampled_from(QUADRATICS), st.integers(-50, 50), st.integers(-50, 50))
+    def test_is_q_times_the_inverse(self, poly, l, k):
+        # A adj(A) = q I
+        assert coord_action(poly, adj_action(poly, (l, k))) == (poly.q * l, poly.q * k)
 
 
 class TestIsExpanding:

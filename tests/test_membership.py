@@ -18,8 +18,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tileconn import lattice, membership
-from tileconn.expansions import eval_expansion, verify_witness
+from tileconn import lattice
+from tileconn.expansions import Witness, eval_expansion, verify_witness
 from tileconn.lattice import (
     CharPoly,
     DigitSystem,
@@ -251,15 +251,32 @@ class TestEdgeGraph:
     def test_pair_budget_checked_before_differences(self):
         # 142 digits make 10011 pairs, one digit past the budget
         ds = DigitSystem(CharPoly(1, 3), [(i, 0) for i in range(142)])
-        with pytest.raises(ValueError, match=f"pair budget of {membership.MAX_DIGIT_PAIRS}"):
+        with pytest.raises(ValueError, match=f"pair budget of {lattice.MAX_DIGIT_PAIRS}"):
             edge_graph(ds)
         assert "differences" not in ds.__dict__
 
     def test_pair_budget_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(membership, "MAX_DIGIT_PAIRS", 3)
+        monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 3)
         assert edge_graph(DigitSystem(CharPoly(1, 3), standard_digits(1))).connected
         with pytest.raises(ValueError, match="6 digit pairs exceed"):
             edge_graph(DigitSystem(CharPoly(1, 3), [(0, 0), (1, 0), (0, 1), (1, 1)]))
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda ds: decide_membership(ds, LatticeVec(1, 0)),
+        lambda ds: state_box(ds, series_sums(ds.poly)),
+        lambda ds: verify_witness(ds, LatticeVec(1, 0), Witness((), (LatticeVec(0, 0),))),
+    ],
+    ids=["decide_membership", "state_box", "verify_witness"],
+)
+def test_pair_budget_bounds_every_difference_set(use):
+    # the budget sits on the difference set, so no caller builds one past it
+    ds = DigitSystem(CharPoly(1, 3), [(i, 0) for i in range(142)])
+    with pytest.raises(ValueError, match="10011 digit pairs exceed the pair budget of 10000"):
+        use(ds)
+    assert "differences" not in ds.__dict__
 
 
 def bfs_connected(ds):

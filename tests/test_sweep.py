@@ -13,22 +13,12 @@ from tileconn.sweep import (
     corollary_check,
     mirror_check,
     report_json,
-    report_lines,
     sweep_theorem,
 )
 
-GOLDEN_K2_LINES = (
-    "p=-1 q=-3 k=2 connected=0 edges=0-1\n"
-    "p=0 q=-3 k=2 connected=0 edges=0-1\n"
-    "p=1 q=-3 k=2 connected=0 edges=0-1\n"
-    "p=-3 q=3 k=2 connected=0 edges=0-1\n"
-    "p=-2 q=3 k=2 connected=0 edges=0-1\n"
-    "p=-1 q=3 k=2 connected=0 edges=0-1\n"
-    "p=0 q=3 k=2 connected=0 edges=0-1\n"
-    "p=1 q=3 k=2 connected=0 edges=0-1\n"
-    "p=2 q=3 k=2 connected=0 edges=0-1\n"
-    "p=3 q=3 k=2 connected=0 edges=0-1\n"
-    "theorem_verdict=1\n"
+# the ten |q| = 3 quadratics as (p, q), in sweep order
+GOLDEN_K2_POLYS = (
+    (-1, -3), (0, -3), (1, -3), (-3, 3), (-2, 3), (-1, 3), (0, 3), (1, 3), (2, 3), (3, 3),
 )
 
 
@@ -85,11 +75,13 @@ class TestSymmetryChecks:
 
 
 class TestSerialization:
-    def test_lines_golden(self):
-        assert report_lines(sweep_theorem(2, 2)) == GOLDEN_K2_LINES
-
-    def test_lines_deterministic(self):
-        assert report_lines(sweep_theorem(-3, 3)) == report_lines(sweep_theorem(-3, 3))
+    def test_k2_golden_entries(self):
+        report = sweep_theorem(2, 2)
+        assert [(e.poly.p, e.poly.q, e.k) for e in report.entries] == [
+            (p, q, 2) for p, q in GOLDEN_K2_POLYS
+        ]
+        assert all(not e.connected and e.edges == ((0, 1),) for e in report.entries)
+        assert report.theorem_verdict
 
     def test_json_roundtrip(self):
         payload = json.loads(report_json(sweep_theorem(-1, 1)))
