@@ -90,18 +90,19 @@ def _witness_str(w: Witness) -> str:
 def _cmd_decide(args) -> int:
     poly = _parse_poly(args.poly)
     digits = _parse_digits(args.digits)
+    # decide before printing, so a refused input leaves stdout empty
     try:
         ds = DigitSystem(poly, digits)
+        if args.delta is None:
+            graph = edge_graph(ds)
+        else:
+            delta = LatticeVec(*_parse_pair(args.delta, "--delta"))
+            outcome = decide_membership(ds, delta)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     print(f"poly: {poly}")
     print("digits: " + " ".join(str(d) for d in ds.digits))
     if args.delta is not None:
-        delta = LatticeVec(*_parse_pair(args.delta, "--delta"))
-        try:
-            outcome = decide_membership(ds, delta)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
         print(f"delta: {delta}")
         print(f"member: {'yes' if outcome.member else 'no'}")
         if outcome.member:
@@ -110,10 +111,6 @@ def _cmd_decide(args) -> int:
             print(f"verified: {'exact' if ok else 'FAILED'}")
             return 0 if ok else 1
         return 1
-    try:
-        graph = edge_graph(ds)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     for (i, j), witness in graph.witnesses.items():
         print(f"edge {i}-{j}: delta={ds.digits[i] - ds.digits[j]} {_witness_str(witness)}")
     missing = [

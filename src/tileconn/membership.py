@@ -8,11 +8,13 @@ s -> A s - w (w in the difference set) and ask for an infinite path.  Any
 state on a valid walk is itself a vector of T - T, so all walks live inside
 an analytic coordinate box derived from the certified series bounds; inside
 that finite box the states admitting infinite paths are the greatest fixed
-point of "has a successor that survives".  A worklist prunes the box to
-that fixed point in time linear in the box: it counts each state's in-box
-successors, and every dead state lowers the counts of its predecessors
-once.  Walking greedily through the survivors then yields an eventually
-periodic witness word, which is re-checked by integer replay.
+point of "has a successor that survives", kept as one flag byte per box
+state.  The difference set is symmetric, so s survives exactly when -s
+does, and a worklist prunes only the half of the box up to (0, 0), in time
+linear in that half: it counts each state's in-box successors, and every
+dead state lowers the counts of its predecessors once, standing in for its
+twin -s as well.  Walking greedily through the survivors then yields an
+eventually periodic witness word, which is re-checked by integer replay.
 
 T is connected exactly when the digit graph is: digits d_i and d_j share an
 edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, islice, product
+from itertools import accumulate, chain, combinations, compress, islice
 from typing import NamedTuple, Optional
 
 from .expansions import Witness, replays
@@ -80,9 +82,7 @@ def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
 
 
 @lru_cache(maxsize=None)
-def _survivor_set(
-    poly: CharPoly, dd: tuple[LatticeVec, ...]
-) -> tuple[StateBox, frozenset[tuple[int, int]]]:
+def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox, bytes]:
     box = _floored_envelope(series_sums(poly), dd)
     p, q = poly.p, poly.q
     l_max, k_max = box
@@ -93,11 +93,15 @@ def _survivor_set(
             f"state box of {n_states} states exceeds the budget of {MAX_BOX_STATES}"
         )
     # State (l, k) has index (k + k_max) * width + (l + l_max) and moves to
-    # (-q*k - w.l, l - p*k - w.k).  Within a row of fixed k the move by w
-    # stays in the box for one run of l, so a difference array per row
-    # counts the in-box successors of every state.
+    # (-q*k - w.l, l - p*k - w.k).  dd = -dd, so -s survives iff s does; -s
+    # has index last - index(s), and only the indices up to mid, the index
+    # of (0, 0), are pruned.  Within a row of fixed k the move by w stays in
+    # the box for one run of l, so a difference array per row counts the
+    # in-box successors of every state up to mid.
+    last = n_states - 1
+    mid = last // 2
     rows = []
-    for k in range(-k_max, k_max + 1):
+    for k in range(-k_max, 1):
         diff = [0] * (width + 1)
         for w in dd:
             if abs(q * k + w.l) <= l_max:
@@ -107,7 +111,7 @@ def _survivor_set(
                     diff[lo + l_max] += 1
                     diff[hi + l_max + 1] -= 1
         rows.append(islice(accumulate(diff), width))
-    counts = list(chain.from_iterable(rows))
+    counts = list(islice(chain.from_iterable(rows), mid + 1))
 
     # A state t has a predecessor via w exactly when q divides t.l + w.l:
     # then k = -(t.l + w.l)/q and l = t.k + w.k + p*k.  preds[t.l + l_max]
@@ -125,26 +129,24 @@ def _survivor_set(
                     entry.append((-l_max - offset, l_max - offset, shift))
         preds.append(entry)
 
-    # Kill states whose successors are all dead: each dead state lowers the
-    # counts of its predecessors once, and a count reaching 0 kills.
-    dead = list(compress(range(len(counts)), map(operator.not_, counts)))
+    # Kill states whose successors are all dead: a dead state t <= mid
+    # stands for -t too, so it lowers the count of each predecessor once,
+    # and a predecessor s past mid stands for -s, a predecessor of -t.
+    # (0, 0) precedes both t and -t but is lowered once: dd holds 0, so it
+    # is its own successor and never dies, and its count need not be exact.
+    dead = list(compress(range(mid + 1), map(operator.not_, counts)))
     while dead:
         a, b = divmod(dead.pop(), width)
         for lo, hi, shift in preds[b]:
             if lo <= a <= hi:
                 i = a + shift
+                if i > mid:
+                    i = last - i
                 counts[i] -= 1
                 if not counts[i]:
                     dead.append(i)
-    # a frozenset copied from a set keeps the set's table size; one built
-    # from a generator over-allocates, and the cache holds every result
-    alive = {
-        (l, k)
-        for k, l in compress(
-            product(range(-k_max, k_max + 1), range(-l_max, l_max + 1)), counts
-        )
-    }
-    return box, frozenset(alive)
+    half = bytes(map(bool, counts))
+    return box, half + half[-2::-1]
 
 
 def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
@@ -155,8 +157,11 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
     dd = ds.differences
-    box, alive = _survivor_set(ds.poly, dd)
-    if delta not in box or tuple(delta) not in alive:
+    (l_max, k_max), alive = _survivor_set(ds.poly, dd)
+    width = 2 * l_max + 1
+    mid = k_max * width + l_max  # the flag index of (0, 0)
+    l, k = delta
+    if not (abs(l) <= l_max and abs(k) <= k_max and alive[k * width + l + mid]):
         return MembershipOutcome(False, None)
 
     # dd is in graded order, so the zero digit is tried first and the
@@ -168,10 +173,10 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
         seen[state] = len(word)
         image = coord_action(ds.poly, state)
         for w in dd:
-            nxt = (image[0] - w.l, image[1] - w.k)
-            if nxt in alive:
+            l, k = image[0] - w.l, image[1] - w.k
+            if abs(l) <= l_max and abs(k) <= k_max and alive[k * width + l + mid]:
                 word.append(w)
-                state = nxt
+                state = (l, k)
                 break
         else:
             raise AssertionError("survivor state lost all successors")

@@ -22,6 +22,15 @@ def box_states(box):
     ]
 
 
+def flagged_states(box, flags):
+    """The states whose flag is set, decoding the k-major index
+    (k + k_max) * width + (l + l_max) of one flag byte per box state."""
+    width = 2 * box.l_max + 1
+    return frozenset(
+        (i % width - box.l_max, i // width - box.k_max) for i, flag in enumerate(flags) if flag
+    )
+
+
 def survivors_by_passes(poly, dd, margin):
     """Reference fixed point: drop states without a surviving successor in
     repeated full passes over the box, enlarged by margin on every side,

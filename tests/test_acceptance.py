@@ -22,7 +22,7 @@ from tileconn.render import RenderConfig, count_components, rasterize, write_ima
 from tileconn.series import alpha_beta, series_sums
 from tileconn.sweep import mirror_check, sweep_theorem
 
-from oracles import box_states, survivors_by_passes
+from oracles import box_states, flagged_states, survivors_by_passes
 
 CALIBRATION = dict(depth=12, width=512, height=512, margin=0.05)
 
@@ -124,7 +124,7 @@ def test_criterion_8_membership_robustness():
         for k in [k for k in range(-6, 7) if k != 0]:
             ds = DigitSystem(poly, standard_digits(k))
             box = state_box(ds, series_sums(poly))
-            alive_plain = _survivor_set(poly, ds.differences)[1]
+            alive_plain = flagged_states(*_survivor_set(poly, ds.differences))
             alive_padded = survivors_by_passes(poly, ds.differences, 2)[1]
             states = box_states(box)
             for s in rng.sample(states, min(5, len(states))):

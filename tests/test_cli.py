@@ -81,22 +81,25 @@ class TestDecide:
     # The over-budget inputs sit just above MAX_BOX_STATES, so a missing
     # check fails these tests in seconds instead of exhausting memory.
     def test_state_box_over_budget_rejected(self, capsys):
-        code, _, err = run(capsys, "decide", "--poly", "1,3", "--digits", "0,0;1,0;0,655")
+        code, out, err = run(capsys, "decide", "--poly", "1,3", "--digits", "0,0;1,0;0,655")
         assert code == 2
+        assert out == ""
         assert f"2010645 states exceeds the budget of {MAX_BOX_STATES}" in err
 
     def test_digit_pairs_over_budget_rejected(self, capsys):
         # the 900 digits of the 30x30 grid pass the state-box budget
         grid = ";".join(f"{l},{k}" for l in range(30) for k in range(30))
-        code, _, err = run(capsys, "decide", "--poly", "1,3", "--digits", grid)
+        code, out, err = run(capsys, "decide", "--poly", "1,3", "--digits", grid)
         assert code == 2
+        assert out == ""
         assert f"404550 digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}" in err
 
     def test_membership_digit_pairs_over_budget_rejected(self, capsys):
         # 142 collinear digits make 10011 pairs, one digit past the budget
         digits = ";".join(f"{i},0" for i in range(142))
-        code, _, err = run(capsys, "decide", "--poly", "1,3", "--digits", digits, "--delta", "1,0")
+        code, out, err = run(capsys, "decide", "--poly", "1,3", "--digits", digits, "--delta", "1,0")
         assert code == 2
+        assert out == ""
         assert f"10011 digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}" in err
 
     def test_flag_is_not_taken_as_a_value(self, capsys):
@@ -106,10 +109,11 @@ class TestDecide:
         assert "--digits: expected one argument" in capsys.readouterr().err
 
     def test_membership_state_box_over_budget_rejected(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "decide", "--poly", "1,3", "--digits", "0,0;1,0;0,655", "--delta", "1,0"
         )
         assert code == 2
+        assert out == ""
         assert f"2010645 states exceeds the budget of {MAX_BOX_STATES}" in err
 
 

@@ -36,8 +36,9 @@ from tileconn.membership import (
     state_box,
 )
 from tileconn.series import series_sums
+from tileconn.sweep import sweep_theorem
 
-from oracles import QUADRATICS, box_states, survivors_by_passes
+from oracles import QUADRATICS, box_states, flagged_states, survivors_by_passes
 
 ORACLE_DEPTH = 8
 
@@ -47,7 +48,7 @@ def box_of(ds):
 
 
 def survivors(ds):
-    return _survivor_set(ds.poly, ds.differences)[1]
+    return flagged_states(*_survivor_set(ds.poly, ds.differences))
 
 
 def oracle_cycle_states(ds, box):
@@ -193,7 +194,8 @@ class TestSurvivorWorklist:
         for poly in enumerate_expanding(det_abs):
             for k in (1, 2, 6):
                 dd = DigitSystem(poly, standard_digits(k)).differences
-                box, alive = _survivor_set.__wrapped__(poly, dd)
+                box, flags = _survivor_set.__wrapped__(poly, dd)
+                alive = flagged_states(box, flags)
                 assert (box, alive) == survivors_by_passes(poly, dd, 0), (poly, k)
                 assert alive == survivors_by_passes(poly, dd, 2)[1], (poly, k)
 
@@ -207,10 +209,40 @@ class TestSurvivorWorklist:
     @settings(max_examples=60)
     def test_matches_repeated_passes_random_digits(self, poly, digits, margin):
         dd = DigitSystem(poly, digits).differences
-        box, alive = _survivor_set.__wrapped__(poly, dd)
+        box, flags = _survivor_set.__wrapped__(poly, dd)
+        alive = flagged_states(box, flags)
         expected_box, expected = survivors_by_passes(poly, dd, margin)
         assert alive == expected
         assert box == (expected_box.l_max - margin, expected_box.k_max - margin)
+
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5, unique=True
+        ),
+        st.sampled_from([0, 2]),
+    )
+    @settings(max_examples=60)
+    def test_flags_are_a_palindrome_over_the_box(self, poly, digits, margin):
+        dd = DigitSystem(poly, digits).differences
+        box, flags = _survivor_set.__wrapped__(poly, dd)
+        assert len(flags) == (2 * box.l_max + 1) * (2 * box.k_max + 1)
+        assert set(flags) <= {0, 1}
+        assert flags == flags[::-1]
+        expected_box, expected = survivors_by_passes(poly, dd, margin)
+        assert flagged_states(box, flags) == expected
+        assert box == (expected_box.l_max - margin, expected_box.k_max - margin)
+
+    def test_sweep_survivor_count(self):
+        # the 400 instances of sweep --k-range -20..20: 233 936 survivors
+        # among 523 392 box states
+        entries = sweep_theorem(-20, 20).entries
+        survivors_total = states_total = 0
+        for e in entries:
+            flags = _survivor_set(e.poly, DigitSystem(e.poly, standard_digits(e.k)).differences)[1]
+            survivors_total += sum(flags)
+            states_total += len(flags)
+        assert (len(entries), survivors_total, states_total) == (400, 233936, 523392)
 
     def test_more_successors_than_a_byte_holds(self):
         # 81 digits give 289 differences, and central states of this box
@@ -218,7 +250,8 @@ class TestSurvivorWorklist:
         poly = CharPoly(0, 3)
         digits = [(l, k) for l in range(-4, 5) for k in range(-4, 5)]
         dd = DigitSystem(poly, digits).differences
-        assert _survivor_set.__wrapped__(poly, dd) == survivors_by_passes(poly, dd, 0)
+        box, flags = _survivor_set.__wrapped__(poly, dd)
+        assert (box, flagged_states(box, flags)) == survivors_by_passes(poly, dd, 0)
 
 
 class TestOracleEquivalence:

@@ -1,5 +1,6 @@
 """Sweep harness tests: theorem verdicts, symmetry checks, serialization."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,14 @@ class TestSerialization:
         a = report_json(sweep_theorem(-6, 6, include_witnesses=True))
         b = report_json(sweep_theorem(-6, 6, include_witnesses=True))
         assert a == b
+
+    def test_json_bytes_frozen(self):
+        # `sweep --k-range -20..20 --witnesses` as recorded at the seed commit;
+        # bench/workloads.py checks the same digest
+        text = report_json(sweep_theorem(-20, 20, include_witnesses=True))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "f7f473ef6691a489d1961ce578fb8cf38184aa158ee858ca5436c569b6491e75"
+        )
 
     def test_json_witnesses_present_when_requested(self):
         payload = json.loads(report_json(sweep_theorem(1, 1, include_witnesses=True)))
