@@ -209,17 +209,17 @@ def _cmd_render(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from None
     width, height = _parse_size(args.size)
+    out = args.out
+    if out is None:
+        if args.k is None:
+            raise CliError("--out is required when --digits is given")
+        out = default_filename(poly, args.k, args.depth)
     try:
         cfg = RenderConfig(poly, digits, depth=args.depth, width=width, height=height,
                            margin=args.margin)
         grid = rasterize(cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    out = args.out
-    if out is None:
-        if args.k is None:
-            raise CliError("--out is required when --digits is given")
-        out = default_filename(poly, args.k, args.depth)
     write_image(grid, out)
     n_points = len(cfg.digits) ** cfg.depth
     print(f"wrote {out} ({width}x{height}, depth {args.depth}, {n_points} points)")

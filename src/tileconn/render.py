@@ -11,6 +11,7 @@ is half-away-from-zero.  Images are binary P6 PPM, black points on white.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,7 +122,13 @@ def _axis_fit(lo: int, hi: int, pixels: int, margin: Fraction) -> tuple[int, int
 
 def rasterize(cfg: RenderConfig) -> ImageGrid:
     """Affine-fit the cloud's bounding box into the grid and mark a pixel per
-    point: the sum of a fine point (levels below depth // 2) and a coarse one."""
+    point: the sum of a fine point (levels below depth // 2) and a coarse one.
+
+    Each fit is divided once per cloud point, not once per pair: with
+    u = xq*d + xr and v = cq*d + cr (0 <= xr, cr < d), (u + v) // d is
+    xq + cq, plus 1 iff xr >= d - cr (xr + cr == d is a half-pixel tie,
+    which rounds up).  Sorted by row residue, the fine points that carry
+    into the next row are a suffix."""
     depth = cfg.depth
     # negated digits negate every numerator, keeping the denominator positive
     digits = cfg.digits if cfg.poly.q**depth > 0 else [-d for d in cfg.digits]
@@ -130,14 +137,27 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
     cs, ct, cd = _axis_fit(lo[0], hi[0], cfg.width, margin)
     rs, rt, rd = _axis_fit(lo[1], hi[1], cfg.height, margin)
     m, zero = depth // 2, [(0, 0)]
-    fine = [(cs * a, rs * b) for a, b in _cloud(cfg.poly, [digits] * m + [zero] * (depth - m))]
     w = cfg.width
+    fine = []  # (row residue, pixel offset, column residue)
+    for a, b in _cloud(cfg.poly, [digits] * m + [zero] * (depth - m)):
+        xq, xr = divmod(cs * a, cd)
+        yq, yr = divmod(rs * b, rd)
+        fine.append((yr, xq - w * yq, xr))
+    fine.sort()
+    row_residues = [yr for yr, _, _ in fine]
+    fine = [(offset, xr) for _, offset, xr in fine]  # sorted, so drop the row residue
     top = (cfg.height - 1) * w  # image row 0 is the top
     pixels = bytearray(w * cfg.height)
     for a, b in _cloud(cfg.poly, [zero] * m + [digits] * (depth - m)):
-        ca, rb = cs * a + ct, rs * b + rt
-        for x, y in fine:
-            pixels[top - (rb + y) // rd * w + (ca + x) // cd] = 1
+        cq, cr = divmod(cs * a + ct, cd)
+        rq, rr = divmod(rs * b + rt, rd)
+        base, carry_from = top - w * rq + cq, cd - cr
+        split = bisect_left(row_residues, rd - rr)
+        for offset, xr in fine[:split]:
+            pixels[base + offset + (xr >= carry_from)] = 1
+        base -= w  # one row up the image
+        for offset, xr in fine[split:]:
+            pixels[base + offset + (xr >= carry_from)] = 1
     return ImageGrid(w, cfg.height, pixels)
 
 

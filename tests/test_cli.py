@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from tileconn import cli
 from tileconn.cli import main
 from tileconn.lattice import MAX_DIGIT_PAIRS
 from tileconn.membership import MAX_BOX_STATES
@@ -259,6 +260,17 @@ class TestRender:
                            "--digits", "0,0;1,0", "--depth", "2", "--size", "16x16")
         assert code == 2
         assert "--out" in err
+
+    def test_digits_without_out_exit_before_rasterizing(self, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("rasterize reached")
+
+        monkeypatch.setattr(cli, "rasterize", never)
+        code, out, err = run(capsys, "render", "--poly", "0,3",
+                             "--digits", "0,0;1,0", "--depth", "2", "--size", "16x16")
+        assert code == 2
+        assert "--out is required when --digits is given" in err
+        assert out == ""
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         paths = [tmp_path / "a.ppm", tmp_path / "b.ppm"]

@@ -217,6 +217,25 @@ class TestRasterize:
         cfg = RenderConfig(CharPoly(p, q), standard_digits(k), depth=depth, width=96, height=80)
         assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
 
+    # found by search: a fine and a coarse residue sum to exactly the fit's
+    # denominator on both axes, and that carry sets a pixel nothing else sets
+    @pytest.mark.parametrize("p,q,k,depth,width,height", [
+        (-2, 2, 1, 2, 19, 20),
+        (-1, 2, 2, 4, 21, 22),
+        (1, -3, -1, 3, 35, 36),
+        (1, -4, 2, 3, 29, 30),
+    ])
+    def test_half_pixel_ties_carry(self, p, q, k, depth, width, height):
+        cfg = RenderConfig(CharPoly(p, q), standard_digits(k), depth=depth,
+                           width=width, height=height, margin=0)
+        points, _ = scaled_points(cfg)
+        for axis, pixels in ((0, width), (1, height)):
+            values = [point[axis] for point in points]
+            lo, span = min(values), max(values) - min(values)
+            # margin 0: the exact coordinate is (n - lo) * (pixels - 1) / span
+            assert any(Fraction((n - lo) * (pixels - 1), span).denominator == 2 for n in values)
+        assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
+
     def test_deterministic(self):
         cfg = RenderConfig(CharPoly(1, 3), standard_digits(2), depth=6, width=64, height=64)
         assert rasterize(cfg).pixels == rasterize(cfg).pixels
