@@ -13,6 +13,7 @@ import cmath
 import re
 import sys
 from bisect import bisect_left
+from itertools import combinations
 
 from .expansions import Witness, eval_expansion, expansion_catalog, verify_witness
 from .lattice import CharPoly, DigitSystem, LatticeVec, is_expanding, standard_digits
@@ -43,13 +44,14 @@ def _parse_poly(text: str) -> CharPoly:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if not is_expanding(poly):
-        sq = cmath.sqrt(complex(poly.discriminant))
-        culprit = min((-p + sq) / 2, (-p - sq) / 2, key=abs)
-        shown = f"{culprit.real:.6g}" if abs(culprit.imag) < 1e-12 else f"{culprit:.6g}"
-        raise CliError(
-            f"{poly} is not expanding: root {shown} has modulus "
-            f"{abs(culprit):.6g}, not above 1"
-        )
+        try:
+            sq = cmath.sqrt(complex(poly.discriminant))
+            culprit = min((-p + sq) / 2, (-p - sq) / 2, key=abs)
+            shown = f"{culprit.real:.6g}" if abs(culprit.imag) < 1e-12 else f"{culprit:.6g}"
+            detail = f"root {shown} has modulus {abs(culprit):.6g}"
+        except OverflowError:  # coefficients beyond float range
+            detail = "a root has modulus"
+        raise CliError(f"{poly} is not expanding: {detail}, not above 1")
     return poly
 
 
@@ -113,12 +115,7 @@ def _cmd_decide(args) -> int:
         return 1
     for (i, j), witness in graph.witnesses.items():
         print(f"edge {i}-{j}: delta={ds.digits[i] - ds.digits[j]} {_witness_str(witness)}")
-    missing = [
-        (i, j)
-        for i in range(len(ds.digits))
-        for j in range(i + 1, len(ds.digits))
-        if (i, j) not in graph.edges
-    ]
+    missing = [e for e in combinations(range(len(ds.digits)), 2) if e not in graph.edges]
     if missing:
         print("missing: " + " ".join(f"{i}-{j}" for i, j in missing))
     print(f"connected: {'yes' if graph.connected else 'no'}")
@@ -185,11 +182,14 @@ def _cmd_series(args) -> int:
     max_terms = _max_printable_terms(poly)
     if not 1 <= args.terms <= max_terms:
         raise CliError(f"--terms must lie in 1..{max_terms} for {poly}, got {args.terms}")
+    try:
+        bounds = series_sums(poly)  # before printing, so a refusal leaves stdout empty
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     print(f"poly: {poly}")
     print("i alpha beta")
     for term in alpha_beta(poly, args.terms):
         print(f"{term.index} {term.alpha} {term.beta}")
-    bounds = series_sums(poly)
     print(f"alpha_upper: {bounds.alpha_upper}")
     print(f"beta_upper: {bounds.beta_upper}")
     print(f"terms_used: {bounds.terms_used}")
@@ -211,7 +211,7 @@ def _cmd_render(args) -> int:
     width, height = _parse_size(args.size)
     out = args.out
     if out is None:
-        if args.k is None:
+        if args.digits is not None:
             raise CliError("--out is required when --digits is given")
         out = default_filename(poly, args.k, args.depth)
     try:

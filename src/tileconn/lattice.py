@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-# Most digit pairs a difference set may come from (about 141 digits): the
-# 4950 pairs of the 10x10 digit grid under x^2+x+3 take 6.5 s to decide on a
-# 2-vCPU Xeon, and a pair costs more as digits spread, so a decision stays
-# within tens of seconds.
+# Most digit pairs a difference set may come from (about 141 digits): under
+# x^2+x+3, 141 digits make 9870 pairs, decided in 0.5 s on the first 141
+# cells of a 12x12 grid and in 0.8 s with the grid spread to steps (3, 5),
+# on a 2-vCPU Xeon; a pair costs more as digits spread.
 MAX_DIGIT_PAIRS = 10_000
 
 

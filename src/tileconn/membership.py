@@ -2,19 +2,18 @@
 
 T is the attractor of the digit system: the set of sums of A^{-i} d_i over
 infinite digit strings.  A lattice vector delta lies in T - T exactly when
-delta admits an infinite expansion in digits from the difference set, which
-reduces to a finite-graph question: walk delta through the state map
-s -> A s - w (w in the difference set) and ask for an infinite path.  Any
-state on a valid walk is itself a vector of T - T, so all walks live inside
-an analytic coordinate box derived from the certified series bounds; inside
-that finite box the states admitting infinite paths are the greatest fixed
-point of "has a successor that survives", kept as one flag byte per box
-state.  The difference set is symmetric, so s survives exactly when -s
-does, and a worklist prunes only the half of the box up to (0, 0), in time
-linear in that half: it counts each state's in-box successors, and every
-dead state lowers the counts of its predecessors once, standing in for its
-twin -s as well.  Walking greedily through the survivors then yields an
-eventually periodic witness word, which is re-checked by integer replay.
+it has an infinite walk s -> A s - w with w in the difference set dd.  Every
+state of such a walk lies in T - T, so in a coordinate box derived from the
+certified series bounds, and delta is a member exactly when its walks in
+that finite box reach a cycle.  A depth-first search from delta answers
+this, building the neighbour graph of Scheicher & Thuswaldner (2002) on
+demand.  It tries successors in the graded order of dd and stops at the
+first one on its path or known alive.  A state whose successors all leave
+the box or are dead is dead, and so is its negation, as dd = -dd.  The
+searches for one (polynomial, dd) share a memo of every box state.  A live
+state records its first successor that is not dead, which is its first live
+one, so the records trace the greedy walk through the live states; its
+eventually periodic word is the witness, re-checked by integer replay.
 
 T is connected exactly when the digit graph is: digits d_i and d_j share an
 edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
@@ -25,13 +24,13 @@ witness for each, a spanning set of edges and the connectedness verdict.
 from __future__ import annotations
 
 import math
-import operator
+from array import array
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, islice
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .expansions import Witness, replays
-from .lattice import CharPoly, DigitSystem, LatticeVec, coord_action
+from .lattice import CharPoly, DigitSystem, LatticeVec
 from .series import SeriesBounds, envelope, series_sums
 
 # Largest state box _survivor_set will allocate: render's point budget, and
@@ -81,72 +80,72 @@ def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
     return _floored_envelope(bounds, ds.differences)
 
 
+# Memo entries: unknown, on the search path, dead, or alive and going on by dd[entry - _ALIVE]
+_UNKNOWN, _ON_PATH, _DEAD, _ALIVE = range(4)
+_NOT_MEMBER = MembershipOutcome(False, None)
+
+
 @lru_cache(maxsize=None)
-def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox, bytes]:
-    box = _floored_envelope(series_sums(poly), dd)
+def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox, array]:
+    """The state box of (poly, dd) and the memo its searches share, one entry
+    per state at index (k + k_max) * width + (l + l_max); states with no
+    in-box successor start dead.  The name predates the search: the benchmark spans it."""
+    l_max, k_max = box = _floored_envelope(series_sums(poly), dd)
     p, q = poly.p, poly.q
-    l_max, k_max = box
     width = 2 * l_max + 1
     n_states = width * (2 * k_max + 1)
     if n_states > MAX_BOX_STATES:
-        raise ValueError(
-            f"state box of {n_states} states exceeds the budget of {MAX_BOX_STATES}"
-        )
-    # State (l, k) has index (k + k_max) * width + (l + l_max) and moves to
-    # (-q*k - w.l, l - p*k - w.k).  dd = -dd, so -s survives iff s does; -s
-    # has index last - index(s), and only the indices up to mid, the index
-    # of (0, 0), are pruned.  Within a row of fixed k the move by w stays in
-    # the box for one run of l, so a difference array per row counts the
-    # in-box successors of every state up to mid.
-    last = n_states - 1
-    mid = last // 2
-    rows = []
-    for k in range(-k_max, 1):
-        diff = [0] * (width + 1)
-        for w in dd:
-            if abs(q * k + w.l) <= l_max:
-                lo = max(p * k + w.k - k_max, -l_max)
-                hi = min(p * k + w.k + k_max, l_max)
-                if lo <= hi:
-                    diff[lo + l_max] += 1
-                    diff[hi + l_max + 1] -= 1
-        rows.append(islice(accumulate(diff), width))
-    counts = list(islice(chain.from_iterable(rows), mid + 1))
+        raise ValueError(f"state box of {n_states} states exceeds the budget of {MAX_BOX_STATES}")
+    # (l, k) moves by w to (-q*k - w.l, l - p*k - w.k), in the box for one run
+    # of l per row k and w.k.  The entry of -s, at index n_states - 1 -
+    # index(s), mirrors that of s, so the rows past k = 0 are copied.
+    memo = array("H", [_DEAD]) * n_states
+    unknown = array("H", [_UNKNOWN]) * width
+    for row, k in enumerate(range(-k_max, 1)):
+        base = row * width + l_max
+        for wk in {wk for wl, wk in dd if abs(q * k + wl) <= l_max}:
+            lo = max(p * k + wk - k_max, -l_max)
+            hi = min(p * k + wk + k_max, l_max)
+            if lo <= hi:
+                memo[base + lo : base + hi + 1] = unknown[: hi - lo + 1]
+    mid = n_states // 2  # the index of (0, 0)
+    memo[mid + 1 :] = memo[:mid][::-1]
+    return box, memo
 
-    # A state t has a predecessor via w exactly when q divides t.l + w.l:
-    # then k = -(t.l + w.l)/q and l = t.k + w.k + p*k.  preds[t.l + l_max]
-    # lists, per such w with k in the box, the run of t.k + k_max whose
-    # predecessor l is in the box too, and the index shift to it.
-    preds = []
-    for t_l in range(-l_max, l_max + 1):
-        entry = []
-        for w in dd:
-            if (t_l + w.l) % q == 0:
-                k = -(t_l + w.l) // q
-                if -k_max <= k <= k_max:
-                    offset = w.k + p * k - k_max  # l - (t.k + k_max)
-                    shift = (k + k_max) * width + l_max + offset
-                    entry.append((-l_max - offset, l_max - offset, shift))
-        preds.append(entry)
 
-    # Kill states whose successors are all dead: a dead state t <= mid
-    # stands for -t too, so it lowers the count of each predecessor once,
-    # and a predecessor s past mid stands for -s, a predecessor of -t.
-    # (0, 0) precedes both t and -t but is lowered once: dd holds 0, so it
-    # is its own successor and never dies, and its count need not be exact.
-    dead = list(compress(range(mid + 1), map(operator.not_, counts)))
-    while dead:
-        a, b = divmod(dead.pop(), width)
-        for lo, hi, shift in preds[b]:
-            if lo <= a <= hi:
-                i = a + shift
-                if i > mid:
-                    i = last - i
-                counts[i] -= 1
-                if not counts[i]:
-                    dead.append(i)
-    half = bytes(map(bool, counts))
-    return box, half + half[-2::-1]
+def _search(poly: CharPoly, dd, box: StateBox, memo: array, l: int, k: int) -> None:
+    """Settle the unknown entry of state (l, k) by depth-first search.  States
+    die after all their in-box successors, so no dead state has an infinite walk."""
+    p, q = poly.p, poly.q
+    l_max, k_max = box
+    width = 2 * l_max + 1
+    mid = k_max * width + l_max
+    i, il, ik, j = k * width + l + mid, -q * k, l - p * k, 0
+    memo[i] = _ON_PATH
+    stack = []  # the states below the top of the path: index, image, choice
+    while True:
+        for j in range(j, len(dd)):
+            l, k = il - dd[j][0], ik - dd[j][1]
+            if abs(l) <= l_max and abs(k) <= k_max:
+                t = k * width + l + mid
+                if memo[t] != _DEAD:
+                    break
+        else:
+            memo[i] = memo[2 * mid - i] = _DEAD
+            if not stack:
+                return
+            i, il, ik, j = stack.pop()
+            j += 1
+            continue
+        if memo[t] == _UNKNOWN:
+            stack.append((i, il, ik, j))
+            memo[t] = _ON_PATH
+            i, il, ik, j = t, -q * k, l - p * k, 0
+            continue
+        memo[i] = _ALIVE + j
+        for i, _, _, j in stack:
+            memo[i] = _ALIVE + j
+        return
 
 
 def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
@@ -156,31 +155,32 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     states, or the digits make more than lattice.MAX_DIGIT_PAIRS pairs.
     """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
-    dd = ds.differences
-    (l_max, k_max), alive = _survivor_set(ds.poly, dd)
-    width = 2 * l_max + 1
-    mid = k_max * width + l_max  # the flag index of (0, 0)
+    # kept beside the cached difference set, so warm queries skip hashing dd
+    if "_search_memo" not in ds.__dict__:
+        ds.__dict__["_search_memo"] = _survivor_set(ds.poly, ds.differences)
+    box, memo = ds.__dict__["_search_memo"]
+    l_max, k_max = box
     l, k = delta
-    if not (abs(l) <= l_max and abs(k) <= k_max and alive[k * width + l + mid]):
-        return MembershipOutcome(False, None)
-
-    # dd is in graded order, so the zero digit is tried first and the
-    # all-zero word wins for delta = 0
-    seen: dict[tuple[int, int], int] = {}
+    if abs(l) > l_max or abs(k) > k_max:
+        return _NOT_MEMBER
+    width = 2 * l_max + 1
+    mid = k_max * width + l_max
+    i = k * width + l + mid
+    if memo[i] == _UNKNOWN:
+        _search(ds.poly, ds.differences, box, memo, l, k)
+    if memo[i] == _DEAD:
+        return _NOT_MEMBER
+    # dd is in graded order, so the all-zero word wins for delta = 0
+    p, q = ds.poly.p, ds.poly.q
+    seen: dict[int, int] = {}
     word: list[LatticeVec] = []
-    state = tuple(delta)
-    while state not in seen:
-        seen[state] = len(word)
-        image = coord_action(ds.poly, state)
-        for w in dd:
-            l, k = image[0] - w.l, image[1] - w.k
-            if abs(l) <= l_max and abs(k) <= k_max and alive[k * width + l + mid]:
-                word.append(w)
-                state = (l, k)
-                break
-        else:
-            raise AssertionError("survivor state lost all successors")
-    start = seen[state]
+    while i not in seen:
+        seen[i] = len(word)
+        w = ds.differences[memo[i] - _ALIVE]
+        word.append(w)
+        l, k = -q * k - w.l, l - p * k - w.k
+        i = k * width + l + mid
+    start = seen[i]
     witness = Witness(tuple(word[:start]), tuple(word[start:]))
     if not replays(ds.poly, delta, witness):
         raise AssertionError(f"extracted witness failed integer replay for {delta}")

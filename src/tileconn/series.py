@@ -92,7 +92,7 @@ def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
             return m, theta, g
         c_max = max(c_max, theta)
         prev_a, prev_b = a, b
-    raise ArithmeticError(f"no contracting power of the inverse action for {poly}")
+    raise ValueError(f"no contracting power of the inverse action for {poly}")
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +131,7 @@ def series_sums(poly: CharPoly, n_terms: int | None = None) -> SeriesBounds:
                 return SeriesBounds(
                     Fraction(alpha_num, den) + tail, Fraction(beta_num, den) + tail, n, tail
                 )
-    raise ArithmeticError(f"tail bound did not reach {TAIL_TOL} within {_MAX_TERMS} terms")
+    raise ValueError(f"tail bound did not reach {TAIL_TOL} within {_MAX_TERMS} terms")
 
 
 def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:

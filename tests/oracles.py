@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter, not_
 
-from tileconn.lattice import enumerate_expanding
+from tileconn.expansions import Witness
+from tileconn.lattice import coord_action, enumerate_expanding
 from tileconn.membership import StateBox
 from tileconn.render import ImageGrid, _axis_fit
 from tileconn.series import envelope, series_sums
@@ -49,6 +51,91 @@ def survivors_by_passes(poly, dd, margin):
                 alive.discard(s)
                 changed = True
     return box, frozenset(alive)
+
+
+def survivor_flags(poly, dd):
+    """Reference greatest fixed point by worklist pruning: the state box and
+    one flag byte per box state, at the k-major index of flagged_states.
+
+    State (l, k) moves to (-q*k - w.l, l - p*k - w.k).  dd = -dd, so -s
+    survives iff s does; -s has index last - index(s), and only the indices
+    up to mid, the index of (0, 0), are pruned.  Within a row of fixed k the
+    move by w stays in the box for one run of l, so a difference array per
+    row counts the in-box successors of every state up to mid.
+    """
+    l_radius, k_radius = envelope(series_sums(poly), dd)
+    box = StateBox(math.floor(l_radius), math.floor(k_radius))
+    p, q = poly.p, poly.q
+    l_max, k_max = box
+    width = 2 * l_max + 1
+    last = width * (2 * k_max + 1) - 1
+    mid = last // 2
+    rows = []
+    for k in range(-k_max, 1):
+        diff = [0] * (width + 1)
+        for w in dd:
+            if abs(q * k + w.l) <= l_max:
+                lo = max(p * k + w.k - k_max, -l_max)
+                hi = min(p * k + w.k + k_max, l_max)
+                if lo <= hi:
+                    diff[lo + l_max] += 1
+                    diff[hi + l_max + 1] -= 1
+        rows.append(islice(accumulate(diff), width))
+    counts = list(islice(chain.from_iterable(rows), mid + 1))
+
+    # A state t has a predecessor via w exactly when q divides t.l + w.l:
+    # then k = -(t.l + w.l)/q and l = t.k + w.k + p*k.  preds[t.l + l_max]
+    # lists, per such w with k in the box, the run of t.k + k_max whose
+    # predecessor l is in the box too, and the index shift to it.
+    preds = []
+    for t_l in range(-l_max, l_max + 1):
+        entry = []
+        for w in dd:
+            if (t_l + w.l) % q == 0:
+                k = -(t_l + w.l) // q
+                if -k_max <= k <= k_max:
+                    offset = w.k + p * k - k_max  # l - (t.k + k_max)
+                    shift = (k + k_max) * width + l_max + offset
+                    entry.append((-l_max - offset, l_max - offset, shift))
+        preds.append(entry)
+
+    # Kill states whose successors are all dead: a dead state t <= mid
+    # stands for -t too, so it lowers the count of each predecessor once,
+    # and a predecessor s past mid stands for -s, a predecessor of -t.
+    # (0, 0) precedes both t and -t but is lowered once: dd holds 0, so it
+    # is its own successor and never dies, and its count need not be exact.
+    dead = list(compress(range(mid + 1), map(not_, counts)))
+    while dead:
+        a, b = divmod(dead.pop(), width)
+        for lo, hi, shift in preds[b]:
+            if lo <= a <= hi:
+                i = a + shift
+                if i > mid:
+                    i = last - i
+                counts[i] -= 1
+                if not counts[i]:
+                    dead.append(i)
+    half = bytes(map(bool, counts))
+    return box, half + half[-2::-1]
+
+
+def greedy_walk(ds, alive, delta):
+    """Reference verdict and witness, (member, witness or None), from the
+    surviving states alive: from delta, step to the first surviving
+    successor in the order of the difference set until a state repeats."""
+    state = tuple(delta)
+    if state not in alive:
+        return False, None
+    seen = {}
+    word = []
+    while state not in seen:
+        seen[state] = len(word)
+        image = coord_action(ds.poly, state)
+        w = next(w for w in ds.differences if (image[0] - w.l, image[1] - w.k) in alive)
+        word.append(w)
+        state = (image[0] - w.l, image[1] - w.k)
+    start = seen[state]
+    return True, Witness(tuple(word[:start]), tuple(word[start:]))
 
 
 def scaled_points(cfg):

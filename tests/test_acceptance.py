@@ -17,12 +17,12 @@ from tileconn.lattice import (
     enumerate_expanding,
     standard_digits,
 )
-from tileconn.membership import _survivor_set, decide_membership, is_connected, state_box
+from tileconn.membership import decide_membership, is_connected, state_box
 from tileconn.render import RenderConfig, count_components, rasterize, write_image
 from tileconn.series import alpha_beta, series_sums
 from tileconn.sweep import mirror_check, sweep_theorem
 
-from oracles import box_states, flagged_states, survivors_by_passes
+from oracles import box_states, flagged_states, survivor_flags, survivors_by_passes
 
 CALIBRATION = dict(depth=12, width=512, height=512, margin=0.05)
 
@@ -124,7 +124,7 @@ def test_criterion_8_membership_robustness():
         for k in [k for k in range(-6, 7) if k != 0]:
             ds = DigitSystem(poly, standard_digits(k))
             box = state_box(ds, series_sums(poly))
-            alive_plain = flagged_states(*_survivor_set(poly, ds.differences))
+            alive_plain = flagged_states(*survivor_flags(poly, ds.differences))
             alive_padded = survivors_by_passes(poly, ds.differences, 2)[1]
             states = box_states(box)
             for s in rng.sample(states, min(5, len(states))):

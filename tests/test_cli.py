@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from tileconn import cli
+from tileconn import cli, series
 from tileconn.cli import main
 from tileconn.lattice import MAX_DIGIT_PAIRS
 from tileconn.membership import MAX_BOX_STATES
@@ -68,6 +68,20 @@ class TestDecide:
         assert out == ""
         assert "x^2+x+1 is not expanding" in err
         assert "modulus 1, not above 1" in err
+
+    def test_coefficients_beyond_float_range_rejected(self, capsys):
+        # the discriminant 10**400 - 12 has no float, so the message names no root
+        p = 10**200
+        code, out, err = run(capsys, "decide", "--poly", f"{p},3", "--digits", "0,0;1,0")
+        assert (code, out) == (2, "")
+        assert err == f"error: x^2+{p}x+3 is not expanding: a root has modulus, not above 1\n"
+
+    def test_series_without_contracting_power_refused(self, capsys):
+        # x^2-92x+92 is expanding (roots near 90.99 and 1.011), but no power
+        # up to the contraction cap of its inverse action contracts
+        code, out, err = run(capsys, "decide", "--poly", "-92,92", "--digits", "0,0;1,0")
+        assert (code, out) == (2, "")
+        assert err == "error: no contracting power of the inverse action for x^2-92x+92\n"
 
     def test_malformed_digits_rejected(self, capsys):
         code, _, err = run(capsys, "decide", "--poly", "1,3", "--digits", "0,0;xx")
@@ -196,6 +210,21 @@ class TestSeries:
         assert "alpha_upper: 581130734/1162261467" in out
         assert "terms_used: 40" in out
 
+    def test_no_contracting_power_refused_before_printing(self, capsys):
+        code, out, err = run(capsys, "series", "--poly", "-92,92")
+        assert (code, out) == (2, "")
+        assert err == "error: no contracting power of the inverse action for x^2-92x+92\n"
+
+    def test_tail_bound_out_of_reach_refused_before_printing(self, capsys, monkeypatch):
+        monkeypatch.setattr(series, "_MAX_TERMS", 20)
+        series.series_sums.cache_clear()
+        try:
+            code, out, err = run(capsys, "series", "--poly", "1,3", "--terms", "4")
+        finally:
+            series.series_sums.cache_clear()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tail bound did not reach") and err.count("\n") == 1
+
     def test_zero_terms_rejected(self, capsys):
         code, _, err = run(capsys, "series", "--poly", "0,3", "--terms", "0")
         assert code == 2
@@ -260,6 +289,15 @@ class TestRender:
                            "--digits", "0,0;1,0", "--depth", "2", "--size", "16x16")
         assert code == 2
         assert "--out" in err
+
+    def test_digits_with_k_still_need_out_path(self, capsys, tmp_path, monkeypatch):
+        # a default name would be taken from --k, which the digits override
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "render", "--poly", "0,3", "--digits", "0,0;1,0",
+                             "--k", "2", "--depth", "2", "--size", "16x16")
+        assert (code, out) == (2, "")
+        assert "--out is required when --digits is given" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_digits_without_out_exit_before_rasterizing(self, capsys, monkeypatch):
         def never(cfg):

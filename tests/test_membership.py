@@ -6,9 +6,11 @@ word is re-verified by exact expansion evaluation), then asks whether delta
 reaches a certified cycle state within a few steps, re-verifying the whole
 preperiod-plus-cycle word exactly.  Oracle and decider must agree on every
 box state.  The survivor oracle computes the greatest fixed point by
-repeated full passes over the box, which the worklist must reproduce; run
-on a box enlarged by a margin, it must find the same survivors, since they
-are exactly the lattice vectors of T - T.
+repeated full passes over the box, which the worklist oracle
+(oracles.survivor_flags) must reproduce; run on a box enlarged by a margin,
+it must find the same survivors, since they are exactly the lattice vectors
+of T - T.  The decider's depth-first search must match the worklist's
+survivors and its greedy witness walk in any order of queries.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tileconn import lattice
+from tileconn import lattice, membership
 from tileconn.expansions import Witness, eval_expansion, verify_witness
 from tileconn.lattice import (
     CharPoly,
@@ -29,7 +31,6 @@ from tileconn.lattice import (
     standard_digits,
 )
 from tileconn.membership import (
-    _survivor_set,
     decide_membership,
     edge_graph,
     is_connected,
@@ -38,7 +39,14 @@ from tileconn.membership import (
 from tileconn.series import series_sums
 from tileconn.sweep import sweep_theorem
 
-from oracles import QUADRATICS, box_states, flagged_states, survivors_by_passes
+from oracles import (
+    QUADRATICS,
+    box_states,
+    flagged_states,
+    greedy_walk,
+    survivor_flags,
+    survivors_by_passes,
+)
 
 ORACLE_DEPTH = 8
 
@@ -48,7 +56,7 @@ def box_of(ds):
 
 
 def survivors(ds):
-    return flagged_states(*_survivor_set(ds.poly, ds.differences))
+    return flagged_states(*survivor_flags(ds.poly, ds.differences))
 
 
 def oracle_cycle_states(ds, box):
@@ -194,7 +202,7 @@ class TestSurvivorWorklist:
         for poly in enumerate_expanding(det_abs):
             for k in (1, 2, 6):
                 dd = DigitSystem(poly, standard_digits(k)).differences
-                box, flags = _survivor_set.__wrapped__(poly, dd)
+                box, flags = survivor_flags(poly, dd)
                 alive = flagged_states(box, flags)
                 assert (box, alive) == survivors_by_passes(poly, dd, 0), (poly, k)
                 assert alive == survivors_by_passes(poly, dd, 2)[1], (poly, k)
@@ -209,7 +217,7 @@ class TestSurvivorWorklist:
     @settings(max_examples=60)
     def test_matches_repeated_passes_random_digits(self, poly, digits, margin):
         dd = DigitSystem(poly, digits).differences
-        box, flags = _survivor_set.__wrapped__(poly, dd)
+        box, flags = survivor_flags(poly, dd)
         alive = flagged_states(box, flags)
         expected_box, expected = survivors_by_passes(poly, dd, margin)
         assert alive == expected
@@ -225,7 +233,7 @@ class TestSurvivorWorklist:
     @settings(max_examples=60)
     def test_flags_are_a_palindrome_over_the_box(self, poly, digits, margin):
         dd = DigitSystem(poly, digits).differences
-        box, flags = _survivor_set.__wrapped__(poly, dd)
+        box, flags = survivor_flags(poly, dd)
         assert len(flags) == (2 * box.l_max + 1) * (2 * box.k_max + 1)
         assert set(flags) <= {0, 1}
         assert flags == flags[::-1]
@@ -239,7 +247,7 @@ class TestSurvivorWorklist:
         entries = sweep_theorem(-20, 20).entries
         survivors_total = states_total = 0
         for e in entries:
-            flags = _survivor_set(e.poly, DigitSystem(e.poly, standard_digits(e.k)).differences)[1]
+            flags = survivor_flags(e.poly, DigitSystem(e.poly, standard_digits(e.k)).differences)[1]
             survivors_total += sum(flags)
             states_total += len(flags)
         assert (len(entries), survivors_total, states_total) == (400, 233936, 523392)
@@ -250,8 +258,105 @@ class TestSurvivorWorklist:
         poly = CharPoly(0, 3)
         digits = [(l, k) for l in range(-4, 5) for k in range(-4, 5)]
         dd = DigitSystem(poly, digits).differences
-        box, flags = _survivor_set.__wrapped__(poly, dd)
+        box, flags = survivor_flags(poly, dd)
         assert (box, flagged_states(box, flags)) == survivors_by_passes(poly, dd, 0)
+
+
+def memo_agrees_with_oracle(memo, box, alive):
+    """Every settled memo entry matches the survivor oracle and no state is
+    left on a search path."""
+    width = 2 * box.l_max + 1
+    for l, k in box_states(box):
+        entry = memo[(k + box.k_max) * width + l + box.l_max]
+        assert entry != membership._ON_PATH, (l, k)
+        if entry == membership._DEAD:
+            assert (l, k) not in alive, (l, k)
+        elif entry >= membership._ALIVE:
+            assert (l, k) in alive, (l, k)
+
+
+class TestSearchAgainstOracle:
+    """The depth-first search against the worklist fixed point of
+    oracles.survivor_flags: same verdicts, and witnesses equal to the greedy
+    walk through the survivors, whatever order the queries fill the memo in."""
+
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=6, unique=True
+        ),
+        st.data(),
+    )
+    @settings(max_examples=120)
+    def test_shuffled_queries_on_one_memo(self, poly, digits, data):
+        ds = DigitSystem(poly, digits)
+        # a negated copy has the same difference set, so it shares the memo
+        twin = DigitSystem(poly, [(-l, -k) for l, k in digits])
+        box, flags = survivor_flags(poly, ds.differences)
+        alive = flagged_states(box, flags)
+        near = st.tuples(
+            st.integers(-box.l_max - 1, box.l_max + 1), st.integers(-box.k_max - 1, box.k_max + 1)
+        )
+        queries = data.draw(st.lists(st.tuples(near, st.booleans()), min_size=1, max_size=60))
+        membership._survivor_set.cache_clear()
+        for delta, on_twin in queries:
+            outcome = decide_membership(twin if on_twin else ds, delta)
+            assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, delta), delta
+        shared = membership._survivor_set(poly, ds.differences)
+        for system in (ds, twin):
+            assert system.__dict__.get("_search_memo", shared) is shared
+        memo_agrees_with_oracle(shared[1], box, alive)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_box_state_in_three_orders(self, seed):
+        rng = random.Random(seed)
+        for poly in enumerate_expanding(3):
+            for k in (1, -2, 5):
+                ds = DigitSystem(poly, standard_digits(k))
+                box, flags = survivor_flags(poly, ds.differences)
+                alive = flagged_states(box, flags)
+                states = box_states(box)
+                rng.shuffle(states)
+                membership._survivor_set.cache_clear()
+                for s in states:
+                    outcome = decide_membership(ds, s)
+                    assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, s), s
+                memo = ds._search_memo[1]
+                assert min(memo) >= membership._DEAD  # every state settled
+                memo_agrees_with_oracle(memo, box, alive)
+
+    def test_memo_resolved_once_per_digit_system(self, monkeypatch):
+        calls = []
+        original = membership._survivor_set
+
+        def counted(poly, dd):
+            calls.append(poly)
+            return original(poly, dd)
+
+        monkeypatch.setattr(membership, "_survivor_set", counted)
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
+        for s in box_states(box_of(ds)):
+            decide_membership(ds, s)
+        assert len(calls) == 1
+        decide_membership(DigitSystem(CharPoly(1, 3), standard_digits(1)), (0, 0))
+        assert len(calls) == 2
+
+    def test_memo_starts_with_dead_states_marked(self):
+        # states whose successors all leave the box are dead before any search
+        ds = DigitSystem(CharPoly(2, 3), standard_digits(4))
+        box, memo = membership._survivor_set(ds.poly, ds.differences)
+        width = 2 * box.l_max + 1
+        p, q = ds.poly.p, ds.poly.q
+        fresh = membership._survivor_set.__wrapped__(ds.poly, ds.differences)[1]
+        for l, k in box_states(box):
+            image = (-q * k, l - p * k)
+            stays = any((image[0] - w.l, image[1] - w.k) in box for w in ds.differences)
+            entry = fresh[(k + box.k_max) * width + l + box.l_max]
+            assert entry == (membership._UNKNOWN if stays else membership._DEAD), (l, k)
+
+    def test_choice_fits_a_memo_entry(self):
+        # dd has at most 2 * MAX_DIGIT_PAIRS + 1 entries
+        assert membership._ALIVE + 2 * lattice.MAX_DIGIT_PAIRS < 2**16
 
 
 class TestOracleEquivalence:
