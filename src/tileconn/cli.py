@@ -4,12 +4,20 @@ Subcommands: decide, sweep, verify-corpus, series, render.  Exact
 quantities are printed as rationals.  Exit status is 0 exactly when every
 requested verdict or verification passes, 1 when some verdict is negative,
 and 2 for usage or validation errors.
+
+A command refuses an input by raising ValueError or OSError; main() alone
+turns that into one "error: ..." line on stderr and exit 2, and it writes a
+command's stdout only after the command returns, so a refusal prints nothing
+there.  A value starting with "-" and a digit (-5..5, -1,0, -.1) parses as a
+value; one starting with "-" and a letter needs the --flag=value form.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import io
 import re
 import sys
 from bisect import bisect_left
@@ -23,61 +31,54 @@ from .series import _MAX_TERMS, alpha_beta, series_sums
 from .sweep import corollary_check, mirror_holds, report_json, sweep_theorem
 
 
-class CliError(Exception):
-    pass
-
-
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CliError(f"{what} must be two comma-separated integers, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        l, k = map(int, text.split(","))  # a wrong count fails to unpack
     except ValueError:
-        raise CliError(f"{what} must be two comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{what} must be two comma-separated integers, got {text!r}") from None
+    return l, k
 
 
 def _parse_poly(text: str) -> CharPoly:
     p, q = _parse_pair(text, "--poly")
-    try:
-        poly = CharPoly(p, q)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    poly = CharPoly(p, q)
     if not is_expanding(poly):
         try:
             sq = cmath.sqrt(complex(poly.discriminant))
-            culprit = min((-p + sq) / 2, (-p - sq) / 2, key=abs)
+            culprit, other = sorted(((-p + sq) / 2, (-p - sq) / 2), key=abs)
+            if abs(culprit) < abs(other):
+                culprit = q / other  # Vieta; the formula cancels in the smaller root
             shown = f"{culprit.real:.6g}" if abs(culprit.imag) < 1e-12 else f"{culprit:.6g}"
             detail = f"root {shown} has modulus {abs(culprit):.6g}"
         except OverflowError:  # coefficients beyond float range
             detail = "a root has modulus"
-        raise CliError(f"{poly} is not expanding: {detail}, not above 1")
+        raise ValueError(f"{poly} is not expanding: {detail}, not above 1")
     return poly
 
 
 def _parse_digits(text: str) -> tuple[LatticeVec, ...]:
     chunks = [c for c in text.split(";") if c.strip()]
     if not chunks:
-        raise CliError("--digits must list at least one l,k pair")
+        raise ValueError("--digits must list at least one l,k pair")
     return tuple(LatticeVec(*_parse_pair(c.strip(), "--digits entry")) for c in chunks)
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
     if not m:
-        raise CliError(f"--k-range must look like -5..5, got {text!r}")
+        raise ValueError(f"--k-range must look like -5..5, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise CliError("--k-range must be nondecreasing")
+        raise ValueError("--k-range must be nondecreasing")
     if lo == hi == 0:
-        raise CliError("--k-range must include a nonzero k")
+        raise ValueError("--k-range must include a nonzero k")
     return lo, hi
 
 
 def _parse_size(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text.strip())
     if not m:
-        raise CliError(f"--size must look like 512x512, got {text!r}")
+        raise ValueError(f"--size must look like 512x512, got {text!r}")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -90,21 +91,12 @@ def _witness_str(w: Witness) -> str:
 
 
 def _cmd_decide(args) -> int:
-    poly = _parse_poly(args.poly)
-    digits = _parse_digits(args.digits)
-    # decide before printing, so a refused input leaves stdout empty
-    try:
-        ds = DigitSystem(poly, digits)
-        if args.delta is None:
-            graph = edge_graph(ds)
-        else:
-            delta = LatticeVec(*_parse_pair(args.delta, "--delta"))
-            outcome = decide_membership(ds, delta)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    print(f"poly: {poly}")
+    ds = DigitSystem(_parse_poly(args.poly), _parse_digits(args.digits))
+    print(f"poly: {ds.poly}")
     print("digits: " + " ".join(str(d) for d in ds.digits))
     if args.delta is not None:
+        delta = LatticeVec(*_parse_pair(args.delta, "--delta"))
+        outcome = decide_membership(ds, delta)
         print(f"delta: {delta}")
         print(f"member: {'yes' if outcome.member else 'no'}")
         if outcome.member:
@@ -113,6 +105,7 @@ def _cmd_decide(args) -> int:
             print(f"verified: {'exact' if ok else 'FAILED'}")
             return 0 if ok else 1
         return 1
+    graph = edge_graph(ds)
     for (i, j), witness in graph.witnesses.items():
         print(f"edge {i}-{j}: delta={ds.digits[i] - ds.digits[j]} {_witness_str(witness)}")
     missing = [e for e in combinations(range(len(ds.digits)), 2) if e not in graph.edges]
@@ -124,11 +117,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_sweep(args) -> int:
     lo, hi = _parse_k_range(args.k_range)
-    try:
-        report = sweep_theorem(lo, hi, include_witnesses=args.witnesses)
-        mirror_ok = mirror_holds(report)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = sweep_theorem(lo, hi, include_witnesses=args.witnesses)
+    mirror_ok = mirror_holds(report)
     print(f"k: {lo}..{hi}  entries: {len(report.entries)}")
     print(f"connected: {report.connected_count}")
     print(f"theorem (connected iff |k|=1): {'PASS' if report.theorem_verdict else 'FAIL'}")
@@ -181,11 +171,11 @@ def _cmd_series(args) -> int:
     poly = _parse_poly(args.poly)
     max_terms = _max_printable_terms(poly)
     if not 1 <= args.terms <= max_terms:
-        raise CliError(f"--terms must lie in 1..{max_terms} for {poly}, got {args.terms}")
-    try:
-        bounds = series_sums(poly)  # before printing, so a refusal leaves stdout empty
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(f"--terms must lie in 1..{max_terms} for {poly}, got {args.terms}")
+    bounds = series_sums(poly)
+    if bounds.terms_used > max_terms:
+        raise ValueError(f"the bounds of {poly} take {bounds.terms_used} terms, "
+                         f"over the {max_terms} printable")
     print(f"poly: {poly}")
     print("i alpha beta")
     for term in alpha_beta(poly, args.terms):
@@ -201,33 +191,35 @@ def _cmd_render(args) -> int:
     poly = _parse_poly(args.poly)
     if args.digits is not None:
         digits = _parse_digits(args.digits)
+    elif args.k is None:
+        raise ValueError("render needs --k or --digits")
     else:
-        if args.k is None:
-            raise CliError("render needs --k or --digits")
-        try:
-            digits = standard_digits(args.k)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        digits = standard_digits(args.k)
     width, height = _parse_size(args.size)
     out = args.out
     if out is None:
         if args.digits is not None:
-            raise CliError("--out is required when --digits is given")
+            raise ValueError("--out is required when --digits is given")
         out = default_filename(poly, args.k, args.depth)
-    try:
-        cfg = RenderConfig(poly, digits, depth=args.depth, width=width, height=height,
-                           margin=args.margin)
-        grid = rasterize(cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    cfg = RenderConfig(poly, digits, depth=args.depth, width=width, height=height,
+                       margin=args.margin)
+    grid = rasterize(cfg)
     write_image(grid, out)
     n_points = len(cfg.digits) ** cfg.depth
     print(f"wrote {out} ({width}x{height}, depth {args.depth}, {n_points} points)")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # reads "-5..5", "-1,0;0,0" and "-.1" as values, where argparse would
+    # take them for options; subparsers inherit it through add_subparsers
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tileconn",
         description="Exact connectedness decisions for planar self-affine digit systems.",
     )
@@ -267,46 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
-    # option strings of every action that takes a value, subcommands included
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _value_flags(sub)
-        elif action.nargs != 0:
-            flags.update(action.option_strings)
-    return flags
-
-
-def _join_value_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    # argparse mistakes values like "-5..5" or "-1,0;0,0" for option strings;
-    # fold them into --flag=value form so negative values parse.  A next
-    # token starting with "--" is a flag, so argparse reports the missing value
-    flags = _value_flags(parser)
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in flags and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_value_flags(parser, list(argv)))
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
-    except (CliError, OSError) as exc:
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

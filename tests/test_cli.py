@@ -1,9 +1,14 @@
 """Command line tests, run in-process through main(argv)."""
 
+import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tileconn import cli, series
 from tileconn.cli import main
@@ -68,6 +73,18 @@ class TestDecide:
         assert out == ""
         assert "x^2+x+1 is not expanding" in err
         assert "modulus 1, not above 1" in err
+
+    @pytest.mark.parametrize("poly, detail", [
+        ("1,1", "x^2+x+1 is not expanding: root -0.5+0.866025j has modulus 1"),
+        ("0,1", "x^2+1 is not expanding: root 0+1j has modulus 1"),
+        ("0,-1", "x^2-1 is not expanding: root 1 has modulus 1"),
+        # the float quadratic formula cancels to root 0 here; Vieta does not
+        (f"{10**150},3", f"x^2+{10**150}x+3 is not expanding: root -3e-150 has modulus 3e-150"),
+    ], ids=["x^2+x+1", "x^2+1", "x^2-1", "p=10^150"])
+    def test_non_expanding_names_the_smaller_root(self, capsys, poly, detail):
+        code, out, err = run(capsys, "decide", "--poly", poly, "--digits", "0,0;1,0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {detail}, not above 1\n"
 
     def test_coefficients_beyond_float_range_rejected(self, capsys):
         # the discriminant 10**400 - 12 has no float, so the message names no root
@@ -179,6 +196,19 @@ class TestSweep:
         assert "--report: expected one argument" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_report_path_starting_with_a_letter_dash(self, capsys, tmp_path, monkeypatch):
+        # "-x.json" reads as an option unless it is joined to its flag by "="
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--k-range", "1..1", "--report", "-x.json"])
+        assert exc.value.code == 2
+        assert "--report: expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        code, out, _ = run(capsys, "sweep", "--k-range", "1..1", "--report=-x.json")
+        assert code == 0
+        assert "report: -x.json" in out
+        assert json.loads((tmp_path / "-x.json").read_text())["k_range"] == [1, 1]
+
     def test_state_box_over_budget_rejected(self, capsys):
         # x^2-x-3, the first polynomial swept, needs 2009007 states at k = 408
         code, out, err = run(capsys, "sweep", "--k-range", "408..408")
@@ -194,6 +224,9 @@ class TestVerifyCorpus:
         assert "all verified" in out
         assert "FAIL" not in out
         assert out.count("[ok]") >= 14
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d8ccd1d9faa56771c40a040f51b575ca477ee6cccde66b8045554ae8a8d26fb1"
+        )
 
 
 class TestSeries:
@@ -224,6 +257,15 @@ class TestSeries:
             series.series_sums.cache_clear()
         assert (code, out) == (2, "")
         assert err.startswith("error: tail bound did not reach") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("poly", ["89,-91", "-89,-91"])
+    def test_bounds_longer_than_printable_refused(self, capsys, poly):
+        # the bounds need 2340 terms; 91^2195 has more digits than
+        # int-to-str conversion allows
+        code, out, err = run(capsys, "series", "--poly", poly, "--terms", "1")
+        assert (code, out) == (2, "")
+        name = "x^2+89x-91" if poly[0] != "-" else "x^2-89x-91"
+        assert err == f"error: the bounds of {name} take 2340 terms, over the 2194 printable\n"
 
     def test_zero_terms_rejected(self, capsys):
         code, _, err = run(capsys, "series", "--poly", "0,3", "--terms", "0")
@@ -317,3 +359,87 @@ class TestRender:
                              "--depth", "5", "--size", "32x32", "--out", str(p))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# One refusal per subcommand that takes input (verify-corpus takes none).
+# MISSING is replaced by a path in a directory that does not exist, so the
+# refusal comes from the OSError of opening the output after the command
+# has computed everything it prints.
+@pytest.mark.parametrize("argv", [
+    ["decide", "--poly", "1,3", "--digits", "0,0;0,0"],
+    ["decide", "--poly", "1,3", "--digits", "0,0;1,0", "--delta", "1"],
+    ["sweep", "--k-range", "5..-5"],
+    ["sweep", "--k-range", "1..1", "--report", "MISSING"],
+    ["series", "--poly", "0,3", "--terms", "0"],
+    ["render", "--poly", "0,3", "--k", "1", "--depth", "2", "--size", "16x16", "--out", "MISSING"],
+], ids=["decide", "decide--delta", "sweep", "sweep--report", "series", "render--out"])
+def test_refusal_prints_one_error_line_and_no_stdout(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing" / "out")
+    code, out, err = run(capsys, *(missing if a == "MISSING" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# A value starting with "-" and a digit is a value for every value flag;
+# decide's --digits and --delta are covered in TestDecide.  "report: ..." and
+# "wrote ..." are printed after the file is written.
+@pytest.mark.parametrize("argv, code, expected", [
+    (["decide", "--poly", "-1,3", "--digits", "0,0;1,0;0,1"], 0, "poly: x^2-x+3"),
+    (["sweep", "--k-range", "-1..1"], 0, "k: -1..1  entries: 20"),
+    (["sweep", "--k-range", "1..1", "--report", "-1.json"], 0, "report: -1.json"),
+    (["series", "--poly", "-1,3", "--terms", "2"], 0, "2 -2/9 -1/9"),
+    (["series", "--poly", "0,3", "--terms", "-3"], 2, "--terms must lie in 1..9012 for x^2+3, got -3"),
+    (["render", "--poly", "-1,3", "--k", "1", "--depth", "2", "--size", "16x16", "--out", "a.ppm"],
+     0, "wrote a.ppm"),
+    (["render", "--poly", "0,3", "--k", "-2", "--depth", "2", "--size", "16x16", "--out", "a.ppm"],
+     0, "wrote a.ppm"),
+    (["render", "--poly", "0,3", "--digits", "-1,0;0,0", "--depth", "2", "--size", "16x16",
+      "--out", "a.ppm"], 0, "4 points"),
+    (["render", "--poly", "0,3", "--k", "1", "--depth", "-2", "--out", "a.ppm"],
+     2, "depth must be at least 1"),
+    (["render", "--poly", "0,3", "--k", "1", "--size", "-16x16", "--out", "a.ppm"],
+     2, "--size must look like 512x512, got '-16x16'"),
+    (["render", "--poly", "0,3", "--k", "1", "--margin", "-.1", "--out", "a.ppm"],
+     2, "margin must lie in [0, 0.5)"),
+    (["render", "--poly", "0,3", "--k", "1", "--depth", "2", "--size", "16x16", "--out", "-1.ppm"],
+     0, "wrote -1.ppm"),
+], ids=["decide--poly", "sweep--k-range", "sweep--report", "series--poly", "series--terms",
+        "render--poly", "render--k", "render--digits", "render--depth", "render--size",
+        "render--margin", "render--out"])
+def test_negative_values_parse_for_every_value_flag(capsys, tmp_path, monkeypatch,
+                                                    argv, code, expected):
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert expected in out + err
+
+
+_COEFFICIENTS = st.one_of(
+    st.integers(-101, 101), st.sampled_from([10**150, -10**150, 10**200, 3 * 10**199])
+)
+_SMALL_PAIRS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["decide", "decide --delta", "series"]),
+    p=_COEFFICIENTS,
+    q=_COEFFICIENTS,
+    digits=st.lists(_SMALL_PAIRS, min_size=1, max_size=3),
+    delta=_SMALL_PAIRS,
+)
+def test_every_argv_decides_or_refuses(command, p, q, digits, delta):
+    # capsys is function-scoped, which Hypothesis rejects
+    if command == "series":
+        argv = ["series", "--poly", f"{p},{q}", "--terms", "3"]
+    else:
+        argv = ["decide", "--poly", f"{p},{q}", "--digits", ";".join(f"{l},{k}" for l, k in digits)]
+        if command == "decide --delta":
+            argv += ["--delta", f"{delta[0]},{delta[1]}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
