@@ -160,10 +160,11 @@ def _max_printable_terms(poly: CharPoly) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return _MAX_TERMS
-    ceiling = 10**limit
-    first_too_long = bisect_left(
-        range(_MAX_TERMS + 1), True, key=lambda n: abs(poly.q) ** n >= ceiling
-    )
+    # |q| has d digits, so |q| >= 10**(d - 1) and, for d >= 2, the power
+    # reaches the ceiling by n = limit // (d - 1) + 1: the search stays short
+    ceiling, d = 10**limit, len(str(abs(poly.q)))
+    last = _MAX_TERMS if d < 2 else min(_MAX_TERMS, limit // (d - 1) + 1)
+    first_too_long = bisect_left(range(last + 1), True, key=lambda n: abs(poly.q) ** n >= ceiling)
     return first_too_long - 1
 
 

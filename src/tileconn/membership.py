@@ -115,37 +115,47 @@ def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox,
 
 def _search(poly: CharPoly, dd, box: StateBox, memo: array, l: int, k: int) -> None:
     """Settle the unknown entry of state (l, k) by depth-first search.  States
-    die after all their in-box successors, so no dead state has an infinite walk."""
+    die after all their in-box successors, so no dead state has an infinite walk.
+
+    An exception that cuts the search short puts the states of its path back
+    to unknown, so later searches through the shared memo start clean."""
     p, q = poly.p, poly.q
     l_max, k_max = box
     width = 2 * l_max + 1
     mid = k_max * width + l_max
     i, il, ik, j = k * width + l + mid, -q * k, l - p * k, 0
-    memo[i] = _ON_PATH
     stack = []  # the states below the top of the path: index, image, choice
-    while True:
-        for j in range(j, len(dd)):
-            l, k = il - dd[j][0], ik - dd[j][1]
-            if abs(l) <= l_max and abs(k) <= k_max:
-                t = k * width + l + mid
-                if memo[t] != _DEAD:
-                    break
-        else:
-            memo[i] = memo[2 * mid - i] = _DEAD
-            if not stack:
-                return
-            i, il, ik, j = stack.pop()
-            j += 1
-            continue
-        if memo[t] == _UNKNOWN:
-            stack.append((i, il, ik, j))
-            memo[t] = _ON_PATH
-            i, il, ik, j = t, -q * k, l - p * k, 0
-            continue
-        memo[i] = _ALIVE + j
-        for i, _, _, j in stack:
+    try:
+        memo[i] = _ON_PATH
+        while True:
+            for j in range(j, len(dd)):
+                l, k = il - dd[j][0], ik - dd[j][1]
+                if abs(l) <= l_max and abs(k) <= k_max:
+                    t = k * width + l + mid
+                    if memo[t] != _DEAD:
+                        break
+            else:
+                memo[i] = memo[2 * mid - i] = _DEAD
+                if not stack:
+                    return
+                i, il, ik, j = stack[-1]  # still on the stack until i holds it
+                del stack[-1]
+                j += 1
+                continue
+            if memo[t] == _UNKNOWN:
+                stack.append((i, il, ik, j))
+                i, il, ik, j = t, -q * k, l - p * k, 0
+                memo[i] = _ON_PATH
+                continue
             memo[i] = _ALIVE + j
-        return
+            for s, _, _, js in stack:
+                memo[s] = _ALIVE + js
+            return
+    except BaseException:
+        memo[i] = _UNKNOWN
+        for s, _, _, _ in stack:
+            memo[s] = _UNKNOWN
+        raise
 
 
 def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:

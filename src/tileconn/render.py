@@ -11,6 +11,7 @@ is half-away-from-zero.  Images are binary P6 PPM, black points on white.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ PIXEL_BUDGET = 4096 * 4096
 
 # PPM grey level of a pixel value: 0 (unset) is white, anything else black
 _GREY = bytes([255]) + bytes(255)
-_SET = bytes(1) + bytes([1]) * 255  # a pixel value as 0 (unset) or 1 (set)
+_RUN = re.compile(rb"[^\x00]+")  # a run of set pixels
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,11 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
     u = xq*d + xr and v = cq*d + cr (0 <= xr, cr < d), (u + v) // d is
     xq + cq, plus 1 iff xr >= d - cr (xr + cr == d is a half-pixel tie,
     which rounds up).  Sorted by row residue, the fine points that carry
-    into the next row are a suffix."""
+    into the next row are a suffix.  The column carry rides in one integer
+    per fine point, (offset << bits) + rank[xr], where rank orders the
+    column residues and the carry thresholds d - cr together: adding
+    ((base + 1) << bits) - rank[d - cr] and shifting right by bits gives
+    base + offset, plus 1 iff rank[xr] >= rank[d - cr]."""
     depth = cfg.depth
     # negated digits negate every numerator, keeping the denominator positive
     digits = cfg.digits if cfg.poly.q**depth > 0 else [-d for d in cfg.digits]
@@ -144,20 +149,27 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
         yq, yr = divmod(rs * b, rd)
         fine.append((yr, xq - w * yq, xr))
     fine.sort()
-    row_residues = [yr for yr, _, _ in fine]
-    fine = [(offset, xr) for _, offset, xr in fine]  # sorted, so drop the row residue
+    coarse = []  # (pixel base, row residue threshold, column carry threshold)
     top = (cfg.height - 1) * w  # image row 0 is the top
-    pixels = bytearray(w * cfg.height)
     for a, b in _cloud(cfg.poly, [zero] * m + [digits] * (depth - m)):
         cq, cr = divmod(cs * a + ct, cd)
         rq, rr = divmod(rs * b + rt, rd)
-        base, carry_from = top - w * rq + cq, cd - cr
-        split = bisect_left(row_residues, rd - rr)
-        for offset, xr in fine[:split]:
-            pixels[base + offset + (xr >= carry_from)] = 1
-        base -= w  # one row up the image
-        for offset, xr in fine[split:]:
-            pixels[base + offset + (xr >= carry_from)] = 1
+        coarse.append((top - w * rq + cq, rd - rr, cd - cr))
+    values = sorted({xr for _, _, xr in fine} | {carry for _, _, carry in coarse})
+    rank = {value: r for r, value in enumerate(values)}
+    bits = len(values).bit_length()
+    row_residues = [yr for yr, _, _ in fine]
+    keys = [(offset << bits) + rank[xr] for _, offset, xr in fine]
+    step = w << bits  # one row up the image
+    pixels = bytearray(w * cfg.height)
+    for base, row_from, carry_from in coarse:
+        add = ((base + 1) << bits) - rank[carry_from]
+        split = bisect_left(row_residues, row_from)
+        for key in keys[:split]:
+            pixels[(key + add) >> bits] = 1
+        add -= step
+        for key in keys[split:]:
+            pixels[(key + add) >> bits] = 1
     return ImageGrid(w, cfg.height, pixels)
 
 
@@ -173,32 +185,46 @@ def write_image(grid: ImageGrid, path) -> None:
 
 
 def count_components(grid: ImageGrid, connectivity: int = 8) -> int:
-    """Number of connected components of set pixels (4- or 8-neighborhood)."""
-    w, h = grid.width, grid.height
-    pw = w + 2  # row stride of the copy with a one-pixel unset border
-    if connectivity == 8:
-        steps = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
-    elif connectivity == 4:
-        steps = (-pw, -1, 1, pw)
-    else:
+    """Number of connected components of set pixels (4- or 8-neighborhood).
+
+    Each row's runs of set pixels are joined to the runs they touch in the
+    row above by a union-find over run labels: a run touching none starts a
+    component, and each join of two different labels removes one."""
+    if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    # the border keeps neighbour steps in range and off the next row
-    todo = bytearray(pw * (h + 2))
-    flat = grid.pixels.translate(_SET)
-    for r in range(h):
-        todo[(r + 1) * pw + 1 : (r + 1) * pw + 1 + w] = flat[r * w : (r + 1) * w]
+    reach = connectivity == 8  # runs touching only at a corner join too
+    w, pixels = grid.width, grid.pixels
+    parent: list[int] = []  # run label -> a label of the same component
+
+    def find(label: int) -> int:
+        while parent[label] != label:
+            parent[label] = label = parent[parent[label]]  # path halving
+        return label
+
     count = 0
-    start = todo.find(1)
-    while start >= 0:
-        count += 1
-        todo[start] = 0
-        stack = [start]
-        while stack:
-            pos = stack.pop()
-            for step in steps:
-                nxt = pos + step
-                if todo[nxt]:
-                    todo[nxt] = 0
-                    stack.append(nxt)
-        start = todo.find(1, start + 1)
+    above: list[tuple[int, int, int]] = []  # the previous row's runs as stored below
+    for r in range(0, w * grid.height, w):
+        row = []
+        j = 0
+        for run in _RUN.finditer(pixels, r, r + w):
+            start, end = run.span()
+            while j < len(above) and above[j][1] <= start:
+                j += 1  # ends before this run and so before every later one
+            label, k = -1, j
+            while k < len(above) and above[k][0] < end:
+                root = find(above[k][2])
+                if label < 0:
+                    label = root
+                elif root != label:
+                    parent[root] = label
+                    count -= 1
+                k += 1
+            if label < 0:
+                label = len(parent)
+                parent.append(label)
+                count += 1
+            # moved down a row and widened by reach: the span a run of the
+            # next row must overlap to touch this one
+            row.append((start + w - reach, end + w + reach, label))
+        above = row
     return count

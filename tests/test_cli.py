@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tileconn import cli, series
 from tileconn.cli import main
-from tileconn.lattice import MAX_DIGIT_PAIRS
+from tileconn.lattice import MAX_DIGIT_PAIRS, CharPoly
 from tileconn.membership import MAX_BOX_STATES
 from tileconn.series import _MAX_TERMS
 
@@ -297,6 +297,15 @@ class TestSeries:
         str(6**cap)  # the largest accepted denominator converts
         with pytest.raises(ValueError):
             str(6 ** (cap + 1))
+
+    @pytest.mark.parametrize("q,cap", [(3, 9012), (10**20, 214), (10**150, 28), (10**200, 21)])
+    def test_printable_terms_for_huge_q(self, q, cap):
+        # the values of the uncapped search over 0..10 000, which the digit
+        # count of |q| now cuts short
+        assert cli._max_printable_terms(CharPoly(-98, q)) == cap
+        str(q**cap)
+        with pytest.raises(ValueError):
+            str(q ** (cap + 1))
 
 
 class TestRender:

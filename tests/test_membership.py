@@ -358,6 +358,47 @@ class TestSearchAgainstOracle:
         # dd has at most 2 * MAX_DIGIT_PAIRS + 1 entries
         assert membership._ALIVE + 2 * lattice.MAX_DIGIT_PAIRS < 2**16
 
+    @pytest.mark.parametrize("reads", [0, 3, 17, 40])
+    def test_interrupted_search_leaves_no_path_behind(self, reads):
+        # each search reads dd through a sequence that raises after `reads`
+        # item reads; whatever it leaves in the memo must agree with the
+        # survivor oracle, and real queries on that memo must give the
+        # greedy witnesses
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
+        dd = ds.differences
+        box, memo = membership._survivor_set.__wrapped__(ds.poly, dd)
+        alive = flagged_states(*survivor_flags(ds.poly, dd))
+        width = 2 * box.l_max + 1
+
+        class Interrupting:
+            def __init__(self):
+                self.left = reads
+
+            def __len__(self):
+                return len(dd)
+
+            def __getitem__(self, j):
+                if not self.left:
+                    raise KeyboardInterrupt
+                self.left -= 1
+                return dd[j]
+
+        interrupted = 0
+        for l, k in box_states(box):
+            if memo[(k + box.k_max) * width + l + box.l_max] == membership._UNKNOWN:
+                try:
+                    membership._search(ds.poly, Interrupting(), box, memo, l, k)
+                except KeyboardInterrupt:
+                    interrupted += 1
+                memo_agrees_with_oracle(memo, box, alive)
+        assert interrupted
+        ds.__dict__["_search_memo"] = (box, memo)
+        for s in box_states(box):
+            outcome = decide_membership(ds, s)
+            assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, s), s
+        assert min(memo) >= membership._DEAD
+        memo_agrees_with_oracle(memo, box, alive)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("k", [1, -1, 2, -2])

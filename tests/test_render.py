@@ -236,6 +236,27 @@ class TestRasterize:
             assert any(Fraction((n - lo) * (pixels - 1), span).denominator == 2 for n in values)
         assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
 
+    # odd depths: the coarse cloud has n times the fine cloud's points, and
+    # with 4 digits at depth 9 the column residues and carry thresholds
+    # rasterize ranks together are 1280 distinct values, past 2^10
+    @pytest.mark.parametrize("p,q,digits,depth,entries", [
+        (-3, -5, [(3, 2), (2, 0), (0, -2), (-1, -1)], 9, 1280),
+        (1, 5, [(-2, 1), (-3, 2), (1, 0), (-1, 0)], 9, 1280),
+        (1, 4, [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 1)], 7, 584),
+    ])
+    def test_matches_oracle_with_many_ranks(self, p, q, digits, depth, entries):
+        cfg = RenderConfig(CharPoly(p, q), digits, depth=depth, width=64, height=48)
+        signed = cfg.digits if q**depth > 0 else [-d for d in cfg.digits]
+        lo, hi = _bounds(cfg.poly, signed, depth)
+        cs, ct, cd = _axis_fit(lo[0], hi[0], cfg.width, Fraction(str(cfg.margin)))
+        m, zero = depth // 2, [(0, 0)]
+        fine = render._cloud(cfg.poly, [signed] * m + [zero] * (depth - m))
+        coarse = render._cloud(cfg.poly, [zero] * m + [signed] * (depth - m))
+        residues = {cs * a % cd for a, _ in fine}
+        thresholds = {cd - (cs * a + ct) % cd for a, _ in coarse}
+        assert len(residues | thresholds) == entries
+        assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
+
     def test_deterministic(self):
         cfg = RenderConfig(CharPoly(1, 3), standard_digits(2), depth=6, width=64, height=64)
         assert rasterize(cfg).pixels == rasterize(cfg).pixels
@@ -318,6 +339,66 @@ class TestComponents:
                                 seen.add(nr * w + nc)
                                 stack.append((nr, nc))
         assert count_components(ImageGrid(w, h, pixels), connectivity) == count
+
+    @staticmethod
+    def grid(*rows):
+        """A grid from strings, '#' set and '.' unset."""
+        return ImageGrid(len(rows[0]), len(rows),
+                         bytearray(b"".join(row.encode().replace(b".", b"\0").replace(b"#", b"\1")
+                                            for row in rows)))
+
+    @pytest.mark.parametrize("rows", [
+        ("##..", "..##"),
+        ("..##", "##.."),
+        ("#...", ".#..", "..#.", "...#"),
+    ])
+    def test_runs_touching_at_a_corner(self, rows):
+        grid = self.grid(*rows)
+        assert count_components(grid, 8) == 1
+        assert count_components(grid, 4) == len(rows)
+
+    def test_arms_meeting_in_a_lower_row(self):
+        # the arms start two components, merged by the bottom run
+        u = self.grid("#.#", "#.#", "###")
+        assert count_components(u, 8) == count_components(u, 4) == 1
+        # three arms, three labels merged by one run
+        w = self.grid("#.#.#", "#.#.#", "#####")
+        assert count_components(w, 8) == count_components(w, 4) == 1
+        # the arms reach the bottom run only at its corners
+        v = self.grid("#...#", "#...#", ".###.")
+        assert count_components(v, 8) == 1
+        assert count_components(v, 4) == 3
+
+    def test_run_above_spanning_two_below(self):
+        arch = self.grid("#####", "#...#", "#...#")
+        assert count_components(arch, 8) == count_components(arch, 4) == 1
+        # below the run's ends, touching it only at its corners
+        corners = self.grid(".###.", "#...#")
+        assert count_components(corners, 8) == 1
+        assert count_components(corners, 4) == 3
+
+    def test_any_nonzero_value_is_set(self):
+        pixels = bytearray([2, 255, 0, 0, 0, 7, 128, 0, 0])
+        grid = ImageGrid(3, 3, pixels)
+        ones = ImageGrid(3, 3, bytearray(min(v, 1) for v in pixels))
+        for connectivity in (4, 8):
+            assert count_components(grid, connectivity) == count_components(ones, connectivity)
+        assert count_components(grid, 8) == 2
+        assert count_components(grid, 4) == 3
+
+    def test_one_pixel_wide_grid(self):
+        grid = ImageGrid(1, 7, bytearray([1, 1, 0, 1, 0, 0, 1]))
+        assert count_components(grid, 8) == count_components(grid, 4) == 3
+
+    # the four README calibration renders: 8- and 4-connected counts
+    @pytest.mark.parametrize("p,k,eight,four", [
+        (0, 1, 1, 1), (0, 2, 245, 245), (1, 1, 1, 16), (1, 2, 61, 152),
+    ])
+    def test_calibration_components(self, p, k, eight, four):
+        cfg = RenderConfig(CharPoly(p, 3), standard_digits(k), depth=12, width=512, height=512)
+        grid = rasterize(cfg)
+        assert count_components(grid, 8) == eight
+        assert count_components(grid, 4) == four
 
     def test_rejects_bad_connectivity(self):
         with pytest.raises(ValueError):
