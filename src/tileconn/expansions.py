@@ -87,6 +87,11 @@ def replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
         raise ValueError(f"{poly} is not expanding")
     if not w.period:
         raise ValueError("period must be nonempty")
+    return _replays(poly, delta, w)
+
+
+def _replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
+    """The integer walk of replays, for an expanding polynomial and a nonempty period."""
     p, q = poly.p, poly.q
     l, k = delta
     for d in w.preperiod:

@@ -19,19 +19,23 @@ T is connected exactly when the digit graph is: digits d_i and d_j share an
 edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
 and its result carries the whole decision for an instance: the edges, a
 witness for each, a spanning set of edges and the connectedness verdict.
+
+Each DigitSystem keeps, in its __dict__ beside the cached difference set,
+what was decided for it: the search memo, its edge graph and the verified
+outcome of every member delta, by box index.  They go when it goes.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
-from .expansions import Witness, replays
+from .expansions import Witness, _replays
 from .lattice import CharPoly, DigitSystem, LatticeVec
-from .series import SeriesBounds, envelope, series_sums
+from .series import SeriesBounds, envelope_numerators, series_sums
 
 # Largest state box _survivor_set will allocate: render's point budget, and
 # over 300 times the largest box of sweep --k-range -20..20 (5985 states).
@@ -56,7 +60,7 @@ class MembershipOutcome(NamedTuple):
 class EdgeGraph(NamedTuple):
     """Digits as vertices; an edge i-j (i < j) means d_i - d_j lies in T - T.
 
-    witnesses maps each edge to the verified witness word of d_i - d_j.
+    witnesses maps each edge to the verified witness word of d_i - d_j, read-only.
     spanning holds the edges that grow the component of digit 0, in the
     order repeated passes over the sorted edges add them; connected says
     whether that component holds every digit, which is exactly when the
@@ -64,14 +68,14 @@ class EdgeGraph(NamedTuple):
     """
 
     edges: frozenset[tuple[int, int]]
-    witnesses: dict[tuple[int, int], Witness]
+    witnesses: Mapping[tuple[int, int], Witness]
     spanning: tuple[tuple[int, int], ...]
     connected: bool
 
 
 def _floored_envelope(bounds: SeriesBounds, dd) -> StateBox:
-    l_radius, k_radius = envelope(bounds, dd)
-    return StateBox(math.floor(l_radius), math.floor(k_radius))
+    l_num, k_num = envelope_numerators(bounds, dd)
+    return StateBox(l_num // bounds.alpha_upper.denominator, k_num // bounds.beta_upper.denominator)
 
 
 def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
@@ -121,6 +125,7 @@ def _search(poly: CharPoly, dd, box: StateBox, memo: array, l: int, k: int) -> N
     to unknown, so later searches through the shared memo start clean."""
     p, q = poly.p, poly.q
     l_max, k_max = box
+    l_min, k_min = -l_max, -k_max
     width = 2 * l_max + 1
     mid = k_max * width + l_max
     i, il, ik, j = k * width + l + mid, -q * k, l - p * k, 0
@@ -130,7 +135,7 @@ def _search(poly: CharPoly, dd, box: StateBox, memo: array, l: int, k: int) -> N
         while True:
             for j in range(j, len(dd)):
                 l, k = il - dd[j][0], ik - dd[j][1]
-                if abs(l) <= l_max and abs(k) <= k_max:
+                if l_min <= l <= l_max and k_min <= k <= k_max:
                     t = k * width + l + mid
                     if memo[t] != _DEAD:
                         break
@@ -165,10 +170,10 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     states, or the digits make more than lattice.MAX_DIGIT_PAIRS pairs.
     """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
-    # kept beside the cached difference set, so warm queries skip hashing dd
-    if "_search_memo" not in ds.__dict__:
-        ds.__dict__["_search_memo"] = _survivor_set(ds.poly, ds.differences)
-    box, memo = ds.__dict__["_search_memo"]
+    known = ds.__dict__  # kept beside the cached difference set: see the module notes
+    if "_search_memo" not in known:
+        known["_search_memo"] = _survivor_set(ds.poly, ds.differences)
+    box, memo = known["_search_memo"]
     l_max, k_max = box
     l, k = delta
     if abs(l) > l_max or abs(k) > k_max:
@@ -180,10 +185,14 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
         _search(ds.poly, ds.differences, box, memo, l, k)
     if memo[i] == _DEAD:
         return _NOT_MEMBER
+    outcomes = known.setdefault("_member_outcomes", {})
+    if i in outcomes:
+        return outcomes[i]
     # dd is in graded order, so the all-zero word wins for delta = 0
     p, q = ds.poly.p, ds.poly.q
     seen: dict[int, int] = {}
     word: list[LatticeVec] = []
+    at = i
     while i not in seen:
         seen[i] = len(word)
         w = ds.differences[memo[i] - _ALIVE]
@@ -192,13 +201,16 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
         i = k * width + l + mid
     start = seen[i]
     witness = Witness(tuple(word[:start]), tuple(word[start:]))
-    if not replays(ds.poly, delta, witness):
+    if not _replays(ds.poly, delta, witness):
         raise AssertionError(f"extracted witness failed integer replay for {delta}")
-    return MembershipOutcome(True, witness)
+    outcomes[at] = outcome = MembershipOutcome(True, witness)
+    return outcome
 
 
 def edge_graph(ds: DigitSystem) -> EdgeGraph:
-    """Decide every digit pair once and grow the component of digit 0."""
+    """Decide every digit pair once, grow the component of digit 0, keep the graph on ds."""
+    if "_edge_graph" in ds.__dict__:
+        return ds.__dict__["_edge_graph"]
     digits = ds.digits
     witnesses = {}
     for i, j in combinations(range(len(digits)), 2):
@@ -215,7 +227,10 @@ def edge_graph(ds: DigitSystem) -> EdgeGraph:
                 reached.update(edge)
                 spanning.append(edge)
                 grew = True
-    return EdgeGraph(frozenset(witnesses), witnesses, tuple(spanning), len(reached) == len(digits))
+    graph = ds.__dict__["_edge_graph"] = EdgeGraph(
+        frozenset(witnesses), MappingProxyType(witnesses), tuple(spanning), len(reached) == len(digits)
+    )
+    return graph
 
 
 def is_connected(ds: DigitSystem) -> bool:

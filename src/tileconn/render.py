@@ -24,6 +24,7 @@ PIXEL_BUDGET = 4096 * 4096
 # PPM grey level of a pixel value: 0 (unset) is white, anything else black
 _GREY = bytes([255]) + bytes(255)
 _RUN = re.compile(rb"[^\x00]+")  # a run of set pixels
+_WRITE_BLOCK = 1 << 14  # pixels write_image holds at a time, in whole rows: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -174,14 +175,16 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
 
 
 def write_image(grid: ImageGrid, path) -> None:
-    """Write binary P6 PPM bytes; deterministic for a given grid."""
+    """Write binary P6 PPM bytes, the body in blocks of rows; deterministic for a given grid."""
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    grey = grid.pixels.translate(_GREY)
-    body = bytearray(3 * len(grey))
-    body[0::3] = body[1::3] = body[2::3] = grey
+    step = grid.width * max(1, _WRITE_BLOCK // grid.width)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        for start in range(0, len(grid.pixels), step):
+            grey = grid.pixels[start : start + step].translate(_GREY)
+            body = bytearray(3 * len(grey))
+            body[0::3] = body[1::3] = body[2::3] = grey
+            fh.write(body)
 
 
 def count_components(grid: ImageGrid, connectivity: int = 8) -> int:

@@ -144,6 +144,13 @@ def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:
     and |k| <= c * sum|beta|.  The pair's two coordinates are chosen
     independently, so c comes from the coordinate extremes in one pass.
     """
+    l_num, k_num = envelope_numerators(bounds, vecs)
+    return Fraction(l_num, bounds.alpha_upper.denominator), Fraction(k_num, bounds.beta_upper.denominator)
+
+
+def envelope_numerators(bounds: SeriesBounds, vecs) -> tuple[int, int]:
+    """envelope's bounds as integer numerators over the denominators of its two Fractions."""
     ks, ls = [w.k for w in vecs], [w.l for w in vecs]
     c = max(max(ks) + max(ls), -(min(ks) + min(ls)))
-    return max(map(abs, ks)) + c * bounds.alpha_upper, c * bounds.beta_upper
+    a, b = bounds.alpha_upper, bounds.beta_upper
+    return max(map(abs, ks)) * a.denominator + c * a.numerator, c * b.numerator

@@ -3,11 +3,13 @@
 import hashlib
 import io
 import json
+import os
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tileconn import cli, series
@@ -427,27 +429,48 @@ _COEFFICIENTS = st.one_of(
     st.integers(-101, 101), st.sampled_from([10**150, -10**150, 10**200, 3 * 10**199])
 )
 _SMALL_PAIRS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# render sizes from malformed and too small up to 32x32
+_SIZES = st.one_of(
+    st.tuples(st.integers(8, 32), st.integers(8, 32)).map(lambda wh: f"{wh[0]}x{wh[1]}"),
+    st.sampled_from(["", "x", "16", "16x", "-16x16", "16x16x16", "1.5x16"]),
+)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(
-    command=st.sampled_from(["decide", "decide --delta", "series"]),
+    command=st.sampled_from(
+        ["decide", "decide --delta", "series", "sweep", "render --k", "render --digits"]
+    ),
     p=_COEFFICIENTS,
     q=_COEFFICIENTS,
     digits=st.lists(_SMALL_PAIRS, min_size=1, max_size=3),
     delta=_SMALL_PAIRS,
+    depth=st.integers(1, 3),
+    size=_SIZES,
 )
-def test_every_argv_decides_or_refuses(command, p, q, digits, delta):
-    # capsys is function-scoped, which Hypothesis rejects
-    if command == "series":
-        argv = ["series", "--poly", f"{p},{q}", "--terms", "3"]
-    else:
-        argv = ["decide", "--poly", f"{p},{q}", "--digits", ";".join(f"{l},{k}" for l, k in digits)]
-        if command == "decide --delta":
-            argv += ["--delta", f"{delta[0]},{delta[1]}"]
+@example(command="sweep", p=0, q=3, digits=[(0, 0)], delta=(0, 0), depth=1, size="16x16")
+@example(command="sweep", p=0, q=3, digits=[(0, 0)], delta=(3, -3), depth=1, size="16x16")
+@example(command="render --k", p=1, q=3, digits=[(0, 0)], delta=(2, 0), depth=3, size="32x32")
+def test_every_argv_decides_or_refuses(command, p, q, digits, delta, depth, size):
+    # capsys and tmp_path are function-scoped, which Hypothesis rejects.
+    # sweep reads its k range a..b from delta, and render --k its k.
+    pairs = ";".join(f"{l},{k}" for l, k in digits)
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "series":
+            argv = ["series", "--poly", f"{p},{q}", "--terms", "3"]
+        elif command == "sweep":
+            argv = ["sweep", "--k-range", f"{delta[0]}..{delta[1]}"]
+        elif command.startswith("render"):
+            chosen = ["--k", str(delta[0])] if command == "render --k" else ["--digits", pairs]
+            argv = ["render", "--poly", f"{p},{q}", *chosen, "--depth", str(depth),
+                    "--size", size, "--out", os.path.join(tmp, "a.ppm")]
+        else:
+            argv = ["decide", "--poly", f"{p},{q}", "--digits", pairs]
+            if command == "decide --delta":
+                argv += ["--delta", f"{delta[0]},{delta[1]}"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""

@@ -573,6 +573,63 @@ def test_difference_set_built_once_per_digit_system(monkeypatch):
     assert len(calls) == 1
 
 
+class TestDecidedOnce:
+    """A DigitSystem keeps its edge graph and its verified member outcomes,
+    so asking it again repeats no search and no witness replay."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"search": 0, "replay": 0}
+        search, replay = membership._search, membership._replays
+
+        def counted_search(*args):
+            counts["search"] += 1
+            return search(*args)
+
+        def counted_replay(*args):
+            counts["replay"] += 1
+            return replay(*args)
+
+        monkeypatch.setattr(membership, "_search", counted_search)
+        monkeypatch.setattr(membership, "_replays", counted_replay)
+        return counts
+
+    def test_edge_graph_is_kept(self):
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
+        assert edge_graph(ds) is edge_graph(ds)
+
+    def test_is_connected_after_edge_graph_decides_nothing(self, counts):
+        ds = DigitSystem(CharPoly(1, 3), [(0, 0), (1, 0), (0, 1), (2, 2)])
+        graph = edge_graph(ds)
+        assert counts["search"] and counts["replay"]
+        before = dict(counts)
+        assert is_connected(ds) == graph.connected
+        assert counts == before
+
+    def test_repeated_query_replays_once(self, counts):
+        ds = DigitSystem(CharPoly(0, 3), standard_digits(1))
+        first = decide_membership(ds, (1, 0))
+        assert first.member and counts["replay"] == 1
+        again = decide_membership(ds, LatticeVec(1, 0))
+        assert again == first and counts["replay"] == 1
+        assert len(ds.__dict__["_member_outcomes"]) == 1
+
+    def test_outside_the_box_adds_no_entry(self):
+        ds = DigitSystem(CharPoly(0, 3), standard_digits(1))
+        assert decide_membership(ds, (0, 0)).member
+        box = box_of(ds)
+        for delta in [(box.l_max + 1, 0), (0, -box.k_max - 1)]:
+            assert not decide_membership(ds, delta).member
+        assert list(ds.__dict__["_member_outcomes"]) == [box.k_max * (2 * box.l_max + 1) + box.l_max]
+
+    def test_graph_witnesses_are_read_only(self):
+        graph = edge_graph(DigitSystem(CharPoly(0, 3), standard_digits(1)))
+        with pytest.raises(TypeError):
+            graph.witnesses[(0, 1)] = graph.witnesses[(0, 2)]
+        with pytest.raises(TypeError):
+            del graph.witnesses[(0, 1)]
+
+
 
 def test_frozen_witness_digest():
     # 600 seeded systems over |q| in 2..6 with 2-5 digits in [-2, 2]^2, four

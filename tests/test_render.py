@@ -1,6 +1,7 @@
 """Renderer tests: exact point pipeline, rasterization, PPM output."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -297,6 +298,22 @@ class TestWriteImage:
         path = tmp_path / "tile.ppm"
         write_image(rasterize(cfg), path)
         assert path.stat().st_size == len(b"P6\n32 24\n255\n") + 32 * 24 * 3
+
+    def test_peak_allocation_bounded_by_the_block(self, tmp_path):
+        # a 512x512 write holds one block of rows at a time: its pixels, their
+        # grey bytes and the three-times-larger body, plus the file buffer;
+        # building the whole body at once would take over 1 MB
+        grid = ImageGrid(512, 512, bytearray(i % 3 == 0 for i in range(512 * 512)))
+        path = tmp_path / "big.ppm"
+        tracemalloc.start()
+        try:
+            write_image(grid, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * render._WRITE_BLOCK + 64 * 1024
+        body = path.read_bytes()[len(b"P6\n512 512\n255\n"):]
+        assert body == b"".join(b"\0\0\0" if v else b"\xff\xff\xff" for v in grid.pixels)
 
 
 class TestComponents:
