@@ -122,7 +122,7 @@ def enumerate_expanding(det_abs: int) -> list[CharPoly]:
             poly = CharPoly(p, q)
             if is_expanding(poly):
                 found.append(poly)
-    return sorted(found, key=lambda c: (c.q, c.p))
+    return found
 
 
 def _as_vecs(digits: Iterable) -> tuple[LatticeVec, ...]:

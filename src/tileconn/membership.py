@@ -28,7 +28,6 @@ outcome of every member delta, by box index.  They go when it goes.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
@@ -40,6 +39,8 @@ from .series import SeriesBounds, envelope_numerators, series_sums
 # Largest state box _survivor_set will allocate: render's point budget, and
 # over 300 times the largest box of sweep --k-range -20..20 (5985 states).
 MAX_BOX_STATES = 2_000_000
+# Most box states the memos shared across digit systems hold together
+MEMO_BUDGET = 4 * MAX_BOX_STATES
 
 
 class StateBox(NamedTuple):
@@ -87,13 +88,19 @@ def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
 # Memo entries: unknown, on the search path, dead, or alive and going on by dd[entry - _ALIVE]
 _UNKNOWN, _ON_PATH, _DEAD, _ALIVE = range(4)
 _NOT_MEMBER = MembershipOutcome(False, None)
+_memos: dict[tuple, tuple[StateBox, array]] = {}  # (poly, dd) -> box, memo; least recent first
+_memo_states = 0  # box states held in _memos
 
 
-@lru_cache(maxsize=None)
 def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox, array]:
     """The state box of (poly, dd) and the memo its searches share, one entry
     per state at index (k + k_max) * width + (l + l_max); states with no
-    in-box successor start dead.  The name predates the search: the benchmark spans it."""
+    in-box successor start dead.  Past MEMO_BUDGET states the least recently
+    used memos go.  The name predates the search: the benchmark spans it."""
+    global _memo_states
+    key = (poly, dd)
+    if key in _memos:  # moved to the most recent end
+        return _memos.setdefault(key, _memos.pop(key))
     l_max, k_max = box = _floored_envelope(series_sums(poly), dd)
     p, q = poly.p, poly.q
     width = 2 * l_max + 1
@@ -114,7 +121,11 @@ def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox,
                 memo[base + lo : base + hi + 1] = unknown[: hi - lo + 1]
     mid = n_states // 2  # the index of (0, 0)
     memo[mid + 1 :] = memo[:mid][::-1]
-    return box, memo
+    while _memos and _memo_states + n_states > MEMO_BUDGET:
+        _memo_states -= len(_memos.pop(next(iter(_memos)))[1])
+    _memos[key] = found = box, memo
+    _memo_states += n_states
+    return found
 
 
 def _search(poly: CharPoly, dd, box: StateBox, memo: array, l: int, k: int) -> None:

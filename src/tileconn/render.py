@@ -88,21 +88,6 @@ def _cloud(poly: CharPoly, levels) -> list[tuple[int, int]]:
     return points
 
 
-def _bounds(poly: CharPoly, digits, depth: int) -> tuple[list[int], list[int]]:
-    """Per-axis minima and maxima of _cloud(poly, [digits] * depth).
-
-    Each level t picks its digit on its own and adds adj^(depth-t)(d * q^t),
-    so an extreme is the sum over levels of the extremes over the digits.
-    """
-    lo, hi = [0, 0], [0, 0]
-    for t in reversed(range(depth)):
-        digits = [adj_action(poly, d) for d in digits]  # adj^(depth-t) d
-        for axis, terms in enumerate(zip(*digits)):
-            lo[axis] += min(x * poly.q**t for x in terms)
-            hi[axis] += max(x * poly.q**t for x in terms)
-    return lo, hi
-
-
 def _axis_fit(lo: int, hi: int, pixels: int, margin: Fraction) -> tuple[int, int, int]:
     """Integers (s, t, d) with pixel index (s*n + t) // d for lo <= n <= hi.
 
@@ -139,20 +124,25 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
     # negated digits negate every numerator, keeping the denominator positive
     digits = cfg.digits if cfg.poly.q**depth > 0 else [-d for d in cfg.digits]
     margin = Fraction(str(cfg.margin))
-    lo, hi = _bounds(cfg.poly, digits, depth)
-    cs, ct, cd = _axis_fit(lo[0], hi[0], cfg.width, margin)
-    rs, rt, rd = _axis_fit(lo[1], hi[1], cfg.height, margin)
     m, zero = depth // 2, [(0, 0)]
+    fine_cloud = _cloud(cfg.poly, [digits] * m + [zero] * (depth - m))
+    coarse_cloud = _cloud(cfg.poly, [zero] * m + [digits] * (depth - m))
+    # a point is a fine plus a coarse point, chosen independently, so per
+    # axis the box runs from the sum of the clouds' minima to that of their maxima
+    (cs, ct, cd), (rs, rt, rd) = (
+        _axis_fit(min(f) + min(c), max(f) + max(c), pixels, margin)
+        for f, c, pixels in zip(zip(*fine_cloud), zip(*coarse_cloud), (cfg.width, cfg.height))
+    )
     w = cfg.width
     fine = []  # (row residue, pixel offset, column residue)
-    for a, b in _cloud(cfg.poly, [digits] * m + [zero] * (depth - m)):
+    for a, b in fine_cloud:
         xq, xr = divmod(cs * a, cd)
         yq, yr = divmod(rs * b, rd)
         fine.append((yr, xq - w * yq, xr))
     fine.sort()
     coarse = []  # (pixel base, row residue threshold, column carry threshold)
     top = (cfg.height - 1) * w  # image row 0 is the top
-    for a, b in _cloud(cfg.poly, [zero] * m + [digits] * (depth - m)):
+    for a, b in coarse_cloud:
         cq, cr = divmod(cs * a + ct, cd)
         rq, rr = divmod(rs * b + rt, rd)
         coarse.append((top - w * rq + cq, rd - rr, cd - cr))

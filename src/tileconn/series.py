@@ -69,10 +69,10 @@ def alpha_beta(poly: CharPoly, n: int) -> list[SeriesTerm]:
     return terms
 
 
-def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
-    """Exponent m with ||inv^m|| < 1 in the max norm, that norm, and the
-    geometric-tail constant G = C * ((m - 1) + m * theta / (1 - theta))
-    where C = max over r < m of ||inv^r||.
+def _contraction_data(poly: CharPoly) -> Fraction:
+    """The geometric-tail constant G = C * ((m - 1) + m * theta / (1 - theta)),
+    where m is the least exponent with theta = ||inv^m|| < 1 in the max norm
+    and C = max over r < m of ||inv^r||.
 
     For any coefficient pair x_N, the tail sum over j >= 1 of
     ||inv^j x_N|| is at most ||x_N|| * G: split j = t*m + r and bound each
@@ -88,46 +88,42 @@ def _contraction_data(poly: CharPoly) -> tuple[int, Fraction, Fraction]:
         den *= q_abs
         theta = Fraction(num, den)
         if theta < 1:
-            g = c_max * ((m - 1) + Fraction(m) * theta / (1 - theta))
-            return m, theta, g
+            return c_max * ((m - 1) + Fraction(m) * theta / (1 - theta))
         c_max = max(c_max, theta)
         prev_a, prev_b = a, b
     raise ValueError(f"no contracting power of the inverse action for {poly}")
 
 
 @lru_cache(maxsize=None)
-def series_sums(poly: CharPoly, n_terms: int | None = None) -> SeriesBounds:
+def series_sums(poly: CharPoly) -> SeriesBounds:
     """Certified upper bounds for sum |alpha_i| and sum |beta_i|.
 
-    With n_terms unset, the number of exact terms grows in steps of 20
-    until the certified tail bound drops below TAIL_TOL.  The terms are
-    summed as integers over |q|^n; no floating point enters the result.
-    The tail bound after n terms is G * min over i <= n of
-    max(|alpha_i|, |beta_i|): the running minimum keeps it valid (earlier
-    tails dominate later true tails) and monotone, so growing n never
-    loosens the bounds.
+    The number of exact terms grows in steps of 20 until the certified tail
+    bound drops below TAIL_TOL.  The terms are summed as integers over
+    |q|^n; no floating point enters the result.  The tail bound after n
+    terms is G * min over i <= n of max(|alpha_i|, |beta_i|): the running
+    minimum keeps it valid (earlier tails dominate later true tails) and
+    monotone, so growing n never loosens the bounds.
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
-    _, _, g = _contraction_data(poly)
-    if n_terms is not None and n_terms < 1:
-        raise ValueError("n_terms must be positive")
+    g = _contraction_data(poly)
     q_abs = abs(poly.q)
     # sum |alpha_i| and sum |beta_i| over i <= n, as numerators over |q|^n;
     # the running minimum is tail_num / tail_den, starting at 1/0 (infinity)
     alpha_num = beta_num = 0
     den = 1
     tail_num, tail_den = 1, 0
-    for n, (a, b) in enumerate(islice(_numerators(poly), n_terms or _MAX_TERMS), 1):
+    for n, (a, b) in enumerate(islice(_numerators(poly), _MAX_TERMS), 1):
         alpha_num = alpha_num * q_abs + abs(a)
         beta_num = beta_num * q_abs + abs(b)
         den *= q_abs
         m = max(abs(a), abs(b))
         if m * tail_den < tail_num * den:
             tail_num, tail_den = m, den
-        if n == n_terms or (n_terms is None and n % 20 == 0):
+        if n % 20 == 0:
             tail = Fraction(tail_num, tail_den) * g
-            if n_terms is not None or tail < TAIL_TOL:
+            if tail < TAIL_TOL:
                 return SeriesBounds(
                     Fraction(alpha_num, den) + tail, Fraction(beta_num, den) + tail, n, tail
                 )

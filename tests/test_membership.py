@@ -59,6 +59,12 @@ def survivors(ds):
     return flagged_states(*survivor_flags(ds.poly, ds.differences))
 
 
+def drop_memos():
+    """Forget every shared search memo, as a new process starts."""
+    membership._memos.clear()
+    membership._memo_states = 0
+
+
 def oracle_cycle_states(ds, box):
     """States lying on a cycle of the in-box transition graph, each with a
     concrete cycle word verified by exact evaluation."""
@@ -298,7 +304,7 @@ class TestSearchAgainstOracle:
             st.integers(-box.l_max - 1, box.l_max + 1), st.integers(-box.k_max - 1, box.k_max + 1)
         )
         queries = data.draw(st.lists(st.tuples(near, st.booleans()), min_size=1, max_size=60))
-        membership._survivor_set.cache_clear()
+        drop_memos()
         for delta, on_twin in queries:
             outcome = decide_membership(twin if on_twin else ds, delta)
             assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, delta), delta
@@ -317,7 +323,7 @@ class TestSearchAgainstOracle:
                 alive = flagged_states(box, flags)
                 states = box_states(box)
                 rng.shuffle(states)
-                membership._survivor_set.cache_clear()
+                drop_memos()
                 for s in states:
                     outcome = decide_membership(ds, s)
                     assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, s), s
@@ -341,13 +347,39 @@ class TestSearchAgainstOracle:
         decide_membership(DigitSystem(CharPoly(1, 3), standard_digits(1)), (0, 0))
         assert len(calls) == 2
 
+    def test_memos_bounded_by_the_states_they_hold(self, monkeypatch):
+        # 30 systems hold 2222 box states between them; a budget of 400
+        # keeps only the most recently used, and a box over the budget alone.
+        # The first system is asked again before each other one, so it stays.
+        monkeypatch.setattr(membership, "MEMO_BUDGET", 400)
+        monkeypatch.setattr(membership, "_memos", {})
+        monkeypatch.setattr(membership, "_memo_states", 0)
+        systems = [DigitSystem(poly, standard_digits(k))
+                   for k in (1, 2, 3) for poly in enumerate_expanding(3)]
+        first = systems[0]
+        for ds in systems:
+            decide_membership(DigitSystem(first.poly, first.digits), (0, 0))
+            decide_membership(ds, (0, 0))
+            memos = membership._memos
+            held = sum(len(memo) for _, memo in memos.values())
+            assert held == membership._memo_states
+            assert held <= 400
+            assert list(memos)[-1] == (ds.poly, ds.differences)
+            assert (first.poly, first.differences) in memos
+        assert len(membership._memos) < len(systems)
+        monkeypatch.setattr(membership, "MEMO_BUDGET", 100)
+        big = DigitSystem(CharPoly(3, 3), standard_digits(4))  # 341 states
+        decide_membership(big, (0, 0))
+        assert list(membership._memos) == [(big.poly, big.differences)]
+        assert membership._memo_states == 341
+
     def test_memo_starts_with_dead_states_marked(self):
         # states whose successors all leave the box are dead before any search
         ds = DigitSystem(CharPoly(2, 3), standard_digits(4))
-        box, memo = membership._survivor_set(ds.poly, ds.differences)
+        drop_memos()
+        box, fresh = membership._survivor_set(ds.poly, ds.differences)
         width = 2 * box.l_max + 1
         p, q = ds.poly.p, ds.poly.q
-        fresh = membership._survivor_set.__wrapped__(ds.poly, ds.differences)[1]
         for l, k in box_states(box):
             image = (-q * k, l - p * k)
             stays = any((image[0] - w.l, image[1] - w.k) in box for w in ds.differences)
@@ -366,7 +398,8 @@ class TestSearchAgainstOracle:
         # greedy witnesses
         ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
         dd = ds.differences
-        box, memo = membership._survivor_set.__wrapped__(ds.poly, dd)
+        drop_memos()
+        box, memo = membership._survivor_set(ds.poly, dd)
         alive = flagged_states(*survivor_flags(ds.poly, dd))
         width = 2 * box.l_max + 1
 
