@@ -10,6 +10,10 @@ turns that into one "error: ..." line on stderr and exit 2, and it writes a
 command's stdout only after the command returns, so a refusal prints nothing
 there.  A value starting with "-" and a digit (-5..5, -1,0, -.1) parses as a
 value; one starting with "-" and a letter needs the --flag=value form.
+
+Each command runs in a fresh process, so startup is part of its cost: the
+render and sweep modules, and the json module sweep needs, are imported
+only by the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from itertools import combinations
 from .expansions import Witness, eval_expansion, expansion_catalog, verify_witness
 from .lattice import CharPoly, DigitSystem, LatticeVec, is_expanding, standard_digits
 from .membership import decide_membership, edge_graph
-from .render import RenderConfig, default_filename, rasterize, write_image
 from .series import _MAX_TERMS, alpha_beta, series_sums
-from .sweep import corollary_check, mirror_holds, report_json, sweep_theorem
 
 
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
@@ -116,6 +118,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import corollary_check, mirror_holds, report_json, sweep_theorem
+
     lo, hi = _parse_k_range(args.k_range)
     report = sweep_theorem(lo, hi, include_witnesses=args.witnesses)
     mirror_ok = mirror_holds(report)
@@ -189,6 +193,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import RenderConfig, default_filename, rasterize, write_image
+
     poly = _parse_poly(args.poly)
     if args.digits is not None:
         digits = _parse_digits(args.digits)

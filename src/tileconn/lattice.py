@@ -11,14 +11,12 @@ pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 # Most digit pairs a difference set may come from (about 141 digits): under
-# x^2+x+3, 141 digits make 9870 pairs, decided in 0.5 s on the first 141
-# cells of a 12x12 grid and in 0.8 s with the grid spread to steps (3, 5),
-# on a 2-vCPU Xeon; a pair costs more as digits spread.
+# x^2+x+3, 141 digits make 9870 pairs, whose edge graph takes 0.04-0.07 s on
+# the first 141 cells of a 12x12 grid and 0.06-0.07 s with the grid spread
+# to steps (3, 5): five fresh processes each, 2-vCPU Xeon, CPython 3.11.
 MAX_DIGIT_PAIRS = 10_000
 
 
@@ -41,16 +39,22 @@ class LatticeVec(NamedTuple):
         return f"({self.l},{self.k})"
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic quadratic x^2 + p*x + q with integer coefficients, q != 0."""
-
+class _Coefficients(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.q == 0:
+
+class CharPoly(_Coefficients):
+    """Monic quadratic x^2 + p*x + q with integer coefficients, q != 0.
+
+    A tuple of (p, q), so hashing it and reading p and q run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int) -> "CharPoly":
+        if q == 0:
             raise ValueError("q must be nonzero (the matrix must be invertible)")
+        return super().__new__(cls, p, q)
 
     @property
     def discriminant(self) -> int:
@@ -129,7 +133,10 @@ def _as_vecs(digits: Iterable) -> tuple[LatticeVec, ...]:
     return tuple(LatticeVec(int(d[0]), int(d[1])) for d in digits)
 
 
-@dataclass(frozen=True)
+_FIELDS = ("poly", "digits")
+_DECIDED = ("_differences", "_search_memo", "_edge_graph", "_member_outcomes")
+
+
 class DigitSystem:
     """An expanding polynomial together with an ordered digit list.
 
@@ -137,29 +144,62 @@ class DigitSystem:
     their index in this order.  Canonical three-digit systems (which always
     include the zero digit) come from standard_digits(); arbitrary digit lists
     are accepted so that translated systems stay expressible.
+
+    poly and digits are read-only, and equality and hashing go by them.  The
+    other slots hold what was decided for the system, each None until first
+    built: its difference set here, and the search memo, edge graph and
+    member outcomes that membership fills in.
     """
 
-    poly: CharPoly
-    digits: tuple[LatticeVec, ...]
+    __slots__ = _FIELDS + _DECIDED
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", _as_vecs(self.digits))
-        if not self.digits:
+    def __init__(self, poly: CharPoly, digits: Iterable) -> None:
+        digits = _as_vecs(digits)
+        if not digits:
             raise ValueError("digit set must be nonempty")
-        if len(set(self.digits)) != len(self.digits):
+        if len(set(digits)) != len(digits):
             raise ValueError("digits must be pairwise distinct")
-        if not is_expanding(self.poly):
-            raise ValueError(f"{self.poly} is not expanding")
+        if not is_expanding(poly):
+            raise ValueError(f"{poly} is not expanding")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "digits", digits)
+        for name in _DECIDED:
+            object.__setattr__(self, name, None)
 
-    @cached_property
+    def __setattr__(self, name: str, value) -> None:
+        if name in _FIELDS:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.poly == other.poly and self.digits == other.digits
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.digits))
+
+    def __repr__(self) -> str:
+        return f"DigitSystem(poly={self.poly!r}, digits={self.digits!r})"
+
+    def __reduce__(self):
+        # copies and pickles are built anew, so they start undecided
+        return self.__class__, (self.poly, self.digits)
+
+    @property
     def differences(self) -> tuple[LatticeVec, ...]:
         """The difference set of the digits in graded order; built on first use.
 
         Over MAX_DIGIT_PAIRS digit pairs it raises ValueError before building."""
-        pairs = len(self.digits) * (len(self.digits) - 1) // 2
-        if pairs > MAX_DIGIT_PAIRS:
-            raise ValueError(f"{pairs} digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}")
-        return tuple(pairwise_differences(self.digits))
+        if self._differences is None:
+            pairs = len(self.digits) * (len(self.digits) - 1) // 2
+            if pairs > MAX_DIGIT_PAIRS:
+                raise ValueError(f"{pairs} digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}")
+            self._differences = tuple(pairwise_differences(self.digits))
+        return self._differences
 
 
 def standard_digits(k: int) -> tuple[LatticeVec, ...]:

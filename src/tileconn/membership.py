@@ -20,7 +20,7 @@ edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
 and its result carries the whole decision for an instance: the edges, a
 witness for each, a spanning set of edges and the connectedness verdict.
 
-Each DigitSystem keeps, in its __dict__ beside the cached difference set,
+Each DigitSystem keeps, in the slots it declares beside its difference set,
 what was decided for it: the search memo, its edge graph and the verified
 outcome of every member delta, by box index.  They go when it goes.
 """
@@ -181,10 +181,9 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     states, or the digits make more than lattice.MAX_DIGIT_PAIRS pairs.
     """
     delta = LatticeVec(int(delta[0]), int(delta[1]))
-    known = ds.__dict__  # kept beside the cached difference set: see the module notes
-    if "_search_memo" not in known:
-        known["_search_memo"] = _survivor_set(ds.poly, ds.differences)
-    box, memo = known["_search_memo"]
+    if ds._search_memo is None:
+        ds._search_memo = _survivor_set(ds.poly, ds.differences)
+    box, memo = ds._search_memo
     l_max, k_max = box
     l, k = delta
     if abs(l) > l_max or abs(k) > k_max:
@@ -196,17 +195,20 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
         _search(ds.poly, ds.differences, box, memo, l, k)
     if memo[i] == _DEAD:
         return _NOT_MEMBER
-    outcomes = known.setdefault("_member_outcomes", {})
-    if i in outcomes:
+    outcomes = ds._member_outcomes
+    if outcomes is None:
+        outcomes = ds._member_outcomes = {}
+    elif i in outcomes:
         return outcomes[i]
     # dd is in graded order, so the all-zero word wins for delta = 0
-    p, q = ds.poly.p, ds.poly.q
+    dd = ds.differences
+    p, q = ds.poly
     seen: dict[int, int] = {}
     word: list[LatticeVec] = []
     at = i
     while i not in seen:
         seen[i] = len(word)
-        w = ds.differences[memo[i] - _ALIVE]
+        w = dd[memo[i] - _ALIVE]
         word.append(w)
         l, k = -q * k - w.l, l - p * k - w.k
         i = k * width + l + mid
@@ -220,8 +222,8 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
 
 def edge_graph(ds: DigitSystem) -> EdgeGraph:
     """Decide every digit pair once, grow the component of digit 0, keep the graph on ds."""
-    if "_edge_graph" in ds.__dict__:
-        return ds.__dict__["_edge_graph"]
+    if ds._edge_graph is not None:
+        return ds._edge_graph
     digits = ds.digits
     witnesses = {}
     for i, j in combinations(range(len(digits)), 2):
@@ -238,7 +240,7 @@ def edge_graph(ds: DigitSystem) -> EdgeGraph:
                 reached.update(edge)
                 spanning.append(edge)
                 grew = True
-    graph = ds.__dict__["_edge_graph"] = EdgeGraph(
+    graph = ds._edge_graph = EdgeGraph(
         frozenset(witnesses), MappingProxyType(witnesses), tuple(spanning), len(reached) == len(digits)
     )
     return graph

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import CharPoly, DigitSystem, LatticeVec, adj_action
 
@@ -27,42 +27,43 @@ _RUN = re.compile(rb"[^\x00]+")  # a run of set pixels
 _WRITE_BLOCK = 1 << 14  # pixels write_image holds at a time, in whole rows: bounds its memory
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    """A render request; digits are normalized and the budgets checked."""
-
+class _RenderFields(NamedTuple):
     poly: CharPoly
     digits: tuple[LatticeVec, ...]
-    depth: int = 9
-    width: int = 512
-    height: int = 512
-    margin: float = 0.05
+    depth: int
+    width: int
+    height: int
+    margin: float
 
-    def __post_init__(self) -> None:
-        ds = DigitSystem(self.poly, self.digits)  # reuse digit/polynomial validation
-        object.__setattr__(self, "digits", ds.digits)
-        if self.depth < 1:
+
+class RenderConfig(_RenderFields):
+    """A render request; digits are normalized and the budgets checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, poly: CharPoly, digits, depth: int = 9, width: int = 512,
+                height: int = 512, margin: float = 0.05) -> "RenderConfig":
+        digits = DigitSystem(poly, digits).digits  # reuse digit/polynomial validation
+        if depth < 1:
             raise ValueError("depth must be at least 1")
-        if self.width < 16 or self.height < 16:
+        if width < 16 or height < 16:
             raise ValueError("image must be at least 16x16")
-        if self.width * self.height > PIXEL_BUDGET:
-            raise ValueError(
-                f"image of {self.width}x{self.height} exceeds the pixel budget of {PIXEL_BUDGET}"
-            )
-        if not (0 <= self.margin < 0.5):
+        if width * height > PIXEL_BUDGET:
+            raise ValueError(f"image of {width}x{height} exceeds the pixel budget of {PIXEL_BUDGET}")
+        if not (0 <= margin < 0.5):
             raise ValueError("margin must lie in [0, 0.5)")
         # Past the budget's bit length even two digits exceed it.  Checking
         # the depth first keeps the power small and stops a one-digit
         # system, one point at any depth, from looping depth times.
-        n = len(self.digits)
-        if self.depth > POINT_BUDGET.bit_length() or n**self.depth > POINT_BUDGET:
+        n = len(digits)
+        if depth > POINT_BUDGET.bit_length() or n**depth > POINT_BUDGET:
             raise ValueError(
-                f"depth {self.depth} with {n} digits exceeds the point budget of {POINT_BUDGET}"
+                f"depth {depth} with {n} digits exceeds the point budget of {POINT_BUDGET}"
             )
+        return super().__new__(cls, poly, digits, depth, width, height, margin)
 
 
-@dataclass
-class ImageGrid:
+class ImageGrid(NamedTuple):
     width: int
     height: int
     pixels: bytearray  # row-major, 1 marks a set pixel

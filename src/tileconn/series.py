@@ -25,6 +25,8 @@ from .lattice import CharPoly, adj_action, is_expanding
 TAIL_TOL = Fraction(1, 10**6)
 _MAX_TERMS = 10_000
 _MAX_CONTRACTION_EXP = 64
+# Polynomials whose bounds series_sums keeps, least recently used going first
+SERIES_CACHE_SIZE = 1024
 
 
 class SeriesTerm(NamedTuple):
@@ -94,7 +96,7 @@ def _contraction_data(poly: CharPoly) -> Fraction:
     raise ValueError(f"no contracting power of the inverse action for {poly}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_CACHE_SIZE)
 def series_sums(poly: CharPoly) -> SeriesBounds:
     """Certified upper bounds for sum |alpha_i| and sum |beta_i|.
 
@@ -130,8 +132,9 @@ def series_sums(poly: CharPoly) -> SeriesBounds:
     raise ValueError(f"tail bound did not reach {TAIL_TOL} within {_MAX_TERMS} terms")
 
 
-def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:
-    """Bounds on |l| and |k| of every sum of A^{-i} w_i (i >= 1), w_i in vecs.
+def envelope_numerators(bounds: SeriesBounds, vecs) -> tuple[int, int]:
+    """Bounds on |l| and |k| of every sum of A^{-i} w_i (i >= 1), w_i in vecs,
+    as integer numerators over the denominators of alpha_upper and beta_upper.
 
     Expanding w = l v + k Av gives A^{-i} w = l_i A^{-i} v + k_i A^{-(i-1)} v,
     so the sum has l = k_1 + sum (k_{i+1} + l_i) alpha_i and
@@ -140,12 +143,6 @@ def envelope(bounds: SeriesBounds, vecs) -> tuple[Fraction, Fraction]:
     and |k| <= c * sum|beta|.  The pair's two coordinates are chosen
     independently, so c comes from the coordinate extremes in one pass.
     """
-    l_num, k_num = envelope_numerators(bounds, vecs)
-    return Fraction(l_num, bounds.alpha_upper.denominator), Fraction(k_num, bounds.beta_upper.denominator)
-
-
-def envelope_numerators(bounds: SeriesBounds, vecs) -> tuple[int, int]:
-    """envelope's bounds as integer numerators over the denominators of its two Fractions."""
     ks, ls = [w.k for w in vecs], [w.l for w in vecs]
     c = max(max(ks) + max(ls), -(min(ks) + min(ls)))
     a, b = bounds.alpha_upper, bounds.beta_upper

@@ -11,8 +11,7 @@ timing, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expansions import Witness, verify_witness
 from .lattice import CharPoly, DigitSystem, LatticeVec, enumerate_expanding, standard_digits
@@ -22,15 +21,13 @@ SWEEP_DET_ABS = 3
 JSON_SCHEMA = "tileconn-sweep/1"
 
 
-@dataclass(frozen=True)
-class EdgeWitness:
+class EdgeWitness(NamedTuple):
     edge: tuple[int, int]
     delta: LatticeVec
     witness: Witness
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     poly: CharPoly
     k: int
     connected: bool
@@ -38,8 +35,7 @@ class SweepEntry:
     witnesses: Optional[tuple[EdgeWitness, ...]] = None
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     k_lo: int
     k_hi: int
     entries: tuple[SweepEntry, ...]

@@ -9,10 +9,17 @@ from tileconn.expansions import Witness
 from tileconn.lattice import coord_action, enumerate_expanding
 from tileconn.membership import StateBox
 from tileconn.render import ImageGrid, _axis_fit
-from tileconn.series import envelope, series_sums
+from tileconn.series import envelope_numerators, series_sums
 
 # every expanding quadratic with |q| in 2..6: 70 polynomials
 QUADRATICS = [poly for det_abs in range(2, 7) for poly in enumerate_expanding(det_abs)]
+
+
+def envelope(bounds, vecs):
+    """The bounds of series.envelope_numerators on |l| and |k| as exact Fractions."""
+    l_num, k_num = envelope_numerators(bounds, vecs)
+    return (Fraction(l_num, bounds.alpha_upper.denominator),
+            Fraction(k_num, bounds.beta_upper.denominator))
 
 
 def box_states(box):

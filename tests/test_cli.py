@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tileconn import cli, series
+from tileconn import cli, render, series
 from tileconn.cli import main
 from tileconn.lattice import MAX_DIGIT_PAIRS, CharPoly
 from tileconn.membership import MAX_BOX_STATES
@@ -356,7 +356,7 @@ class TestRender:
         def never(cfg):
             raise AssertionError("rasterize reached")
 
-        monkeypatch.setattr(cli, "rasterize", never)
+        monkeypatch.setattr(render, "rasterize", never)
         code, out, err = run(capsys, "render", "--poly", "0,3",
                              "--digits", "0,0;1,0", "--depth", "2", "--size", "16x16")
         assert code == 2

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +25,10 @@ TEN_POLYS = [(-1, -3), (0, -3), (1, -3), (-3, 3), (-2, 3), (-1, 3), (0, 3), (1, 
 def test_charpoly_rejects_zero_q():
     with pytest.raises(ValueError):
         CharPoly(1, 0)
+
+
+def test_charpoly_repr():
+    assert repr(CharPoly(1, 3)) == "CharPoly(p=1, q=3)"
 
 
 def test_charpoly_str():
@@ -122,6 +128,38 @@ class TestDigitSystem:
     def test_digit_order_preserved(self):
         ds = DigitSystem(CharPoly(1, 3), [(1, 0), (0, 0)])
         assert ds.digits == (LatticeVec(1, 0), LatticeVec(0, 0))
+
+    def test_repr(self):
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
+        assert repr(ds) == str(ds) == (
+            "DigitSystem(poly=CharPoly(p=1, q=3), digits=(LatticeVec(l=0, k=0), "
+            "LatticeVec(l=1, k=0), LatticeVec(l=0, k=2)))"
+        )
+
+    @pytest.mark.parametrize("field", ["poly", "digits"])
+    def test_fields_are_read_only(self, field):
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
+        with pytest.raises(AttributeError):
+            setattr(ds, field, getattr(ds, field))
+        with pytest.raises(AttributeError):
+            delattr(ds, field)
+        assert ds.poly == CharPoly(1, 3) and ds.digits == standard_digits(1)
+
+    def test_equal_by_poly_and_digits(self):
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
+        same = DigitSystem(CharPoly(1, 3), [(0, 0), (1, 0), (0, 1)])
+        ds.differences  # what was decided for a system plays no part
+        assert ds == same and hash(ds) == hash(same)
+        assert len({ds, same}) == 1
+        assert ds != DigitSystem(CharPoly(1, 3), [(1, 0), (0, 0), (0, 1)])
+        assert ds != DigitSystem(CharPoly(-1, 3), standard_digits(1))
+
+    def test_copies_and_pickles_are_equal(self):
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
+        ds.differences
+        for other in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+            assert other == ds and other is not ds
+            assert other._differences is None  # built anew, so undecided
 
 
 def test_standard_digits():

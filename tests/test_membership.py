@@ -310,7 +310,7 @@ class TestSearchAgainstOracle:
             assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, delta), delta
         shared = membership._survivor_set(poly, ds.differences)
         for system in (ds, twin):
-            assert system.__dict__.get("_search_memo", shared) is shared
+            assert system._search_memo is None or system._search_memo is shared
         memo_agrees_with_oracle(shared[1], box, alive)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -425,7 +425,7 @@ class TestSearchAgainstOracle:
                     interrupted += 1
                 memo_agrees_with_oracle(memo, box, alive)
         assert interrupted
-        ds.__dict__["_search_memo"] = (box, memo)
+        ds._search_memo = (box, memo)
         for s in box_states(box):
             outcome = decide_membership(ds, s)
             assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, s), s
@@ -465,7 +465,7 @@ class TestEdgeGraph:
         ds = DigitSystem(CharPoly(1, 3), [(i, 0) for i in range(142)])
         with pytest.raises(ValueError, match=f"pair budget of {lattice.MAX_DIGIT_PAIRS}"):
             edge_graph(ds)
-        assert "differences" not in ds.__dict__
+        assert ds._differences is None
 
     def test_pair_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 3)
@@ -488,7 +488,7 @@ def test_pair_budget_bounds_every_difference_set(use):
     ds = DigitSystem(CharPoly(1, 3), [(i, 0) for i in range(142)])
     with pytest.raises(ValueError, match="10011 digit pairs exceed the pair budget of 10000"):
         use(ds)
-    assert "differences" not in ds.__dict__
+    assert ds._differences is None
 
 
 def bfs_connected(ds):
@@ -645,7 +645,7 @@ class TestDecidedOnce:
         assert first.member and counts["replay"] == 1
         again = decide_membership(ds, LatticeVec(1, 0))
         assert again == first and counts["replay"] == 1
-        assert len(ds.__dict__["_member_outcomes"]) == 1
+        assert len(ds._member_outcomes) == 1
 
     def test_outside_the_box_adds_no_entry(self):
         ds = DigitSystem(CharPoly(0, 3), standard_digits(1))
@@ -653,7 +653,7 @@ class TestDecidedOnce:
         box = box_of(ds)
         for delta in [(box.l_max + 1, 0), (0, -box.k_max - 1)]:
             assert not decide_membership(ds, delta).member
-        assert list(ds.__dict__["_member_outcomes"]) == [box.k_max * (2 * box.l_max + 1) + box.l_max]
+        assert list(ds._member_outcomes) == [box.k_max * (2 * box.l_max + 1) + box.l_max]
 
     def test_graph_witnesses_are_read_only(self):
         graph = edge_graph(DigitSystem(CharPoly(0, 3), standard_digits(1)))

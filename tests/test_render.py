@@ -20,9 +20,9 @@ from tileconn.render import (
     rasterize,
     write_image,
 )
-from tileconn.series import envelope, series_sums
+from tileconn.series import series_sums
 
-from oracles import QUADRATICS, rasterize_by_points, scaled_points
+from oracles import QUADRATICS, envelope, rasterize_by_points, scaled_points
 
 
 def oracle_points(cfg):
@@ -55,6 +55,19 @@ class TestConfig:
     def test_rejects_bad_margin(self):
         with pytest.raises(ValueError):
             RenderConfig(CharPoly(0, 3), standard_digits(1), margin=0.5)
+
+    def test_repr(self):
+        cfg = RenderConfig(CharPoly(1, 3), [[0, 0], (1, 0)], depth=4, width=32, height=16)
+        assert repr(cfg) == str(cfg) == (
+            "RenderConfig(poly=CharPoly(p=1, q=3), digits=(LatticeVec(l=0, k=0), "
+            "LatticeVec(l=1, k=0)), depth=4, width=32, height=16, margin=0.05)"
+        )
+
+    @pytest.mark.parametrize("field", ["poly", "digits", "depth", "width", "height", "margin"])
+    def test_fields_are_read_only(self, field):
+        cfg = RenderConfig(CharPoly(0, 3), standard_digits(1))
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, getattr(cfg, field))
 
     def test_default_filename(self):
         assert default_filename(CharPoly(1, -3), -2, 9) == "tile_p1_q-3_k-2_d9.ppm"

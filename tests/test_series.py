@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tileconn.lattice import CharPoly, LatticeVec, enumerate_expanding
-from tileconn.series import alpha_beta, envelope, series_sums
+from tileconn.series import SERIES_CACHE_SIZE, alpha_beta, series_sums
+
+from oracles import envelope
 
 MILLIONTH = Fraction(1, 10**6)
 
@@ -151,6 +153,17 @@ class TestSeriesSums:
     def test_rejects_non_expanding(self):
         with pytest.raises(ValueError):
             series_sums(CharPoly(4, -3))
+
+    def test_cache_is_bounded(self):
+        # one more polynomial than the cache holds leaves it at its size
+        polys = []
+        det_abs = 2
+        while len(polys) <= SERIES_CACHE_SIZE:
+            polys += enumerate_expanding(det_abs)
+            det_abs += 1
+        for poly in polys[: SERIES_CACHE_SIZE + 1]:
+            series_sums(poly)
+        assert series_sums.cache_info().currsize <= SERIES_CACHE_SIZE
 
     def test_frozen_bounds_digest(self):
         # every bound for |q| in 2..6, frozen as exact rationals; the tail
