@@ -12,7 +12,7 @@ is half-away-from-zero.  Images are binary P6 PPM, black points on white.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -108,6 +108,29 @@ def _axis_fit(lo: int, hi: int, pixels: int, margin: Fraction) -> tuple[int, int
     return 2 * usable_num, 2 * (offset_num * span - lo * usable_num) + den, 2 * den
 
 
+def _classes(fine, coarse):
+    """Distinct residue classes of the fine and coarse points, and the key shift.
+
+    fine holds (row residue, pixel offset, column residue) triples, coarse
+    (pixel base, row threshold, column threshold) ones.  A pair carries on
+    an axis iff the fine residue is at least the coarse threshold, so a
+    residue matters only through its class, the number of distinct
+    thresholds at or below it, and a threshold only through its 1-based
+    index among them: the carry is class >= index.  Returns the fine
+    classes (row class, offset, column class) sorted, the coarse classes
+    (base, row index, column index) as a set, and the key shift, the bit
+    length of the number of column thresholds: 2**shift exceeds every
+    column class and index.
+    """
+    rows = sorted({t for _, t, _ in coarse})
+    cols = sorted({t for _, _, t in coarse})
+    fine = sorted({(bisect_right(rows, yr), offset, bisect_right(cols, xr))
+                   for yr, offset, xr in fine})
+    coarse = {(base, bisect_left(rows, yt) + 1, bisect_left(cols, xt) + 1)
+              for base, yt, xt in coarse}
+    return fine, coarse, len(cols).bit_length()
+
+
 def rasterize(cfg: RenderConfig) -> ImageGrid:
     """Affine-fit the cloud's bounding box into the grid and mark a pixel per
     point: the sum of a fine point (levels below depth // 2) and a coarse one.
@@ -115,12 +138,15 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
     Each fit is divided once per cloud point, not once per pair: with
     u = xq*d + xr and v = cq*d + cr (0 <= xr, cr < d), (u + v) // d is
     xq + cq, plus 1 iff xr >= d - cr (xr + cr == d is a half-pixel tie,
-    which rounds up).  Sorted by row residue, the fine points that carry
-    into the next row are a suffix.  The column carry rides in one integer
-    per fine point, (offset << bits) + rank[xr], where rank orders the
-    column residues and the carry thresholds d - cr together: adding
-    ((base + 1) << bits) - rank[d - cr] and shifting right by bits gives
-    base + offset, plus 1 iff rank[xr] >= rank[d - cr]."""
+    which rounds up).  So a pair's pixel depends on the fine point only
+    through its pixel offset and the residue class of each axis, and on the
+    coarse point through its pixel base and the index of each threshold
+    d - cr (see _classes); each distinct pair of classes is marked once.
+    Sorted by row class, the fine classes that carry into the next row are
+    a suffix.  The column carry rides in one integer per fine class,
+    (offset << bits) + column class: adding ((base + 1) << bits) - column
+    index and shifting right by bits gives base + offset, plus 1 iff the
+    class is at least the index."""
     depth = cfg.depth
     # negated digits negate every numerator, keeping the denominator positive
     digits = cfg.digits if cfg.poly.q**depth > 0 else [-d for d in cfg.digits]
@@ -140,23 +166,20 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
         xq, xr = divmod(cs * a, cd)
         yq, yr = divmod(rs * b, rd)
         fine.append((yr, xq - w * yq, xr))
-    fine.sort()
     coarse = []  # (pixel base, row residue threshold, column carry threshold)
     top = (cfg.height - 1) * w  # image row 0 is the top
     for a, b in coarse_cloud:
         cq, cr = divmod(cs * a + ct, cd)
         rq, rr = divmod(rs * b + rt, rd)
         coarse.append((top - w * rq + cq, rd - rr, cd - cr))
-    values = sorted({xr for _, _, xr in fine} | {carry for _, _, carry in coarse})
-    rank = {value: r for r, value in enumerate(values)}
-    bits = len(values).bit_length()
-    row_residues = [yr for yr, _, _ in fine]
-    keys = [(offset << bits) + rank[xr] for _, offset, xr in fine]
+    fine, coarse, bits = _classes(fine, coarse)
+    row_classes = [row for row, _, _ in fine]
+    keys = [(offset << bits) + col for _, offset, col in fine]
     step = w << bits  # one row up the image
     pixels = bytearray(w * cfg.height)
-    for base, row_from, carry_from in coarse:
-        add = ((base + 1) << bits) - rank[carry_from]
-        split = bisect_left(row_residues, row_from)
+    for base, row_from, col_from in coarse:
+        add = ((base + 1) << bits) - col_from
+        split = bisect_left(row_classes, row_from)
         for key in keys[:split]:
             pixels[(key + add) >> bits] = 1
         add -= step

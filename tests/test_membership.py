@@ -18,7 +18,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tileconn import lattice, membership
 from tileconn.expansions import Witness, eval_expansion, verify_witness
@@ -529,10 +529,10 @@ class TestIsConnected:
         assert bfs_connected(ds) == expected
         assert is_connected(ds) == expected
 
-    @pytest.mark.parametrize("det_abs", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("det_abs", range(2, 21))
     def test_consecutive_collinear_digits_connected(self, det_abs):
         # {0, v, ..., (|q| - 1) v} is connected for every expanding quadratic
-        # (Kirat, Lau & Rao 2004)
+        # (Kirat & Lau 2000; Kirat, Lau & Rao 2004): 798 polynomials here
         for poly in enumerate_expanding(det_abs):
             ds = DigitSystem(poly, [(i, 0) for i in range(abs(poly.q))])
             assert is_connected(ds), poly
@@ -575,6 +575,35 @@ class TestIsConnected:
         # the mirror (p, k) <-> (-p, -k)
         mirrored = DigitSystem(CharPoly(-poly.p, poly.q), [(l, -k) for l, k in digits])
         assert is_connected(mirrored) == is_connected(DigitSystem(poly, digits))
+
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5, unique=True
+        ),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_commutant_law(self, poly, digits, a, b):
+        # P = aI + bA commutes with A, so when det P = a^2 - pab + qb^2 != 0,
+        # T(A, PD) = P T(A, D): d_i - d_j lies in T - T exactly when
+        # P(d_i - d_j) lies in the image system's, and P maps each witness
+        # word to one of the image system
+        p, q = poly
+        assume(a * a - p * a * b + q * b * b != 0)
+
+        def image(vec):
+            l, k = vec
+            return LatticeVec(a * l - q * b * k, a * k + b * l - p * b * k)
+
+        ds = DigitSystem(poly, digits)
+        mapped = DigitSystem(poly, [image(d) for d in ds.digits])
+        graph, mapped_graph = edge_graph(ds), edge_graph(mapped)
+        assert mapped_graph.edges == graph.edges
+        for (i, j), witness in graph.witnesses.items():
+            word = Witness(tuple(map(image, witness.preperiod)), tuple(map(image, witness.period)))
+            assert verify_witness(mapped, mapped.digits[i] - mapped.digits[j], word)
 
     def test_witness_words_stay_in_difference_set(self):
         ds = DigitSystem(CharPoly(3, 3), standard_digits(-1))

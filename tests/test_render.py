@@ -215,15 +215,19 @@ class TestRasterize:
             assert any(Fraction((n - lo) * (pixels - 1), span).denominator == 2 for n in values)
         assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
 
-    # odd depths: the coarse cloud has n times the fine cloud's points, and
-    # with 4 digits at depth 9 the column residues and carry thresholds
-    # rasterize ranks together are 1280 distinct values, past 2^10
-    @pytest.mark.parametrize("p,q,digits,depth,entries", [
-        (-3, -5, [(3, 2), (2, 0), (0, -2), (-1, -1)], 9, 1280),
-        (1, 5, [(-2, 1), (-3, 2), (1, 0), (-1, 0)], 9, 1280),
-        (1, 4, [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 1)], 7, 584),
+    # odd depths: the coarse cloud has n times the fine cloud's points.  The
+    # key shift must hold a column class minus a column index, which runs
+    # from -m to m - 1 for m distinct column thresholds; the first two cases
+    # sit exactly at m = 2^10, where len(cols).bit_length() steps up
+    @pytest.mark.parametrize("p,q,digits,depth,entries,thresholds", [
+        pytest.param(-3, -5, [(3, 2), (2, 0), (0, -2), (-1, -1)], 9, 1280, 1024,
+                     id="-3--5-digits0-9-1280"),
+        pytest.param(1, 5, [(-2, 1), (-3, 2), (1, 0), (-1, 0)], 9, 1280, 1024,
+                     id="1-5-digits1-9-1280"),
+        pytest.param(1, 4, [(0, 0), (1, 0), (0, 1), (-1, -1), (2, 1)], 7, 584, 473,
+                     id="1-4-digits2-7-584"),
     ])
-    def test_matches_oracle_with_many_ranks(self, p, q, digits, depth, entries):
+    def test_matches_oracle_with_many_ranks(self, p, q, digits, depth, entries, thresholds):
         cfg = RenderConfig(CharPoly(p, q), digits, depth=depth, width=64, height=48)
         signed = cfg.digits if q**depth > 0 else [-d for d in cfg.digits]
         m, zero = depth // 2, [(0, 0)]
@@ -234,9 +238,30 @@ class TestRasterize:
         hi = max(a for a, _ in fine) + max(a for a, _ in coarse)
         cs, ct, cd = _axis_fit(lo, hi, cfg.width, Fraction(str(cfg.margin)))
         residues = {cs * a % cd for a, _ in fine}
-        thresholds = {cd - (cs * a + ct) % cd for a, _ in coarse}
-        assert len(residues | thresholds) == entries
+        carries = {cd - (cs * a + ct) % cd for a, _ in coarse}
+        assert len(residues | carries) == entries
+        assert len(carries) == thresholds
         assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
+
+    # the work rasterize does is the product of the two class counts: without
+    # the classes every one of the 729 fine and 729 coarse points would count
+    @pytest.mark.parametrize("p,k,fine,coarse", [
+        (0, 1, 377, 377), (0, 2, 617, 617), (1, 1, 377, 377), (1, 2, 634, 634),
+    ])
+    def test_calibration_class_counts(self, monkeypatch, p, k, fine, coarse):
+        seen = []
+        classes = render._classes
+
+        def recorded(*args):
+            seen.append(classes(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(render, "_classes", recorded)
+        rasterize(RenderConfig(CharPoly(p, 3), standard_digits(k), depth=12, width=512, height=512))
+        [(fine_classes, coarse_classes, _)] = seen
+        assert (len(fine_classes), len(coarse_classes)) == (fine, coarse)
+        shallow = RenderConfig(CharPoly(p, 3), standard_digits(k), depth=8, width=512, height=512)
+        assert rasterize(shallow).pixels == rasterize_by_points(shallow).pixels
 
     def test_deterministic(self):
         cfg = RenderConfig(CharPoly(1, 3), standard_digits(2), depth=6, width=64, height=64)
