@@ -14,6 +14,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, chain, groupby
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .lattice import CharPoly, DigitSystem, LatticeVec, adj_action
@@ -25,6 +28,7 @@ PIXEL_BUDGET = 4096 * 4096
 _GREY = bytes([255]) + bytes(255)
 _RUN = re.compile(rb"[^\x00]+")  # a run of set pixels
 _WRITE_BLOCK = 1 << 14  # pixels write_image holds at a time, in whole rows: bounds its memory
+_BIT_PIXEL = bytes.maketrans(b"01", b"\0\1")  # a binary digit's character to its pixel value
 
 
 class _RenderFields(NamedTuple):
@@ -78,14 +82,26 @@ def _cloud(poly: CharPoly, levels) -> list[tuple[int, int]]:
 
     Over the denominator q^L, L = len(levels), these are the points
     sum_t A^{-(L-t)} d_t.  One step n' = adj(A) (d * q^t + n) per level
-    keeps them integral.
+    keeps them integral.  A trailing level holding only the zero digit
+    steps every point by adj(A) alone, so a run of z of them applies
+    adj(A)^z once per point.
     """
+    levels = list(levels)
+    zeros = 0
+    while levels and list(levels[-1]) == [(0, 0)]:
+        levels.pop()
+        zeros += 1
     points = [(0, 0)]
     q_t = 1
     for digits in levels:
         shifted = [(l * q_t + n_l, k * q_t + n_k) for l, k in digits for n_l, n_k in points]
         points = [adj_action(poly, n) for n in shifted]
         q_t *= poly.q
+    if zeros:
+        (a, c), (b, d) = (1, 0), (0, 1)  # the columns of adj(A)^zeros
+        for _ in range(zeros):
+            (a, c), (b, d) = adj_action(poly, (a, c)), adj_action(poly, (b, d))
+        points = [(a * l + b * k, c * l + d * k) for l, k in points]
     return points
 
 
@@ -131,6 +147,111 @@ def _classes(fine, coarse):
     return fine, coarse, len(cols).bit_length()
 
 
+def _fine_rows(fine, w: int) -> dict:
+    """The fine classes grouped by fine pixel row: -yq -> [(row class, dx, column class)].
+
+    An offset is dx - w*yq with 0 <= dx < w, dx the fine pixel column
+    counted from the cloud's leftmost one, so divmod by w splits it."""
+    rows: dict = {}
+    for row, offset, col in fine:
+        up, dx = divmod(offset, w)
+        rows.setdefault(up, []).append((row, dx, col))
+    return rows
+
+
+def _below(values, top: int, scale: int = 1) -> list[int]:
+    """scale * (the number of values below x), for x in 0..top."""
+    steps = [0] * (top + 1)
+    for v in values:
+        if v < top:
+            steps[v + 1] += scale
+    return list(accumulate(steps))
+
+
+def _merged(a: list[int], b: list[int]) -> list[int]:
+    return list(map(or_, a, b))
+
+
+def _row_masks(classes, row_top: int, col_top: int):
+    """Lookups and mask tables of one fine row, for coarse row indices up to
+    row_top and column indices up to col_top.
+
+    A coarse class (r, c) reads entry at = by_row[r] + by_col[c] of each
+    table: i*n + j, where its row index r splits the row's distinct row
+    classes at i (i of them below r) and its column index c splits the n - 1
+    distinct column classes at j.  stay[at] ORs bit dx + column carry over
+    the classes below the row split, which stay in the stamped line, and
+    move[at] over the rest, which carry into the line above; the column
+    carry is 1 iff the column class is at or past the column split."""
+    col_classes = sorted({col for _, _, col in classes})
+    n = len(col_classes) + 1
+    # a class of the j-th distinct column class carries at the j + 1 splits 0..j
+    carrying = {col: j + 1 for j, col in enumerate(col_classes)}
+    masks = []  # per row class, ascending (classes come sorted by row class)
+    for _, group in groupby(classes, itemgetter(0)):
+        class_masks = []
+        for _, dx, col in group:
+            splits = carrying[col]
+            class_masks.append([2 << dx] * splits + [1 << dx] * (n - splits))
+        masks.append(reduce(_merged, class_masks))
+    zero = [0] * n
+    stay = list(chain.from_iterable(accumulate(masks, _merged, initial=zero)))
+    move = list(chain.from_iterable(list(accumulate(reversed(masks), _merged, initial=zero))[::-1]))
+    by_row = _below({row for row, _, _ in classes}, row_top, n)
+    return by_row, _below(col_classes, col_top), stay, move
+
+
+def _stamp(rows: dict, coarse, w: int, h: int) -> bytearray:
+    """Pixels of every fine x coarse class pair, ORed in one fine row at a time.
+
+    Line L, a Python int, holds flat pixel w*L + b - 1 at bit b: columns
+    0..w-1 of image row L at bits 1..w, and the last pixel of row L - 1 at
+    bit 0.  The extra bit keeps every shift non-negative (a coarse base's
+    column can be -1 when every pair at it carries), and splitting base + 1
+    by w puts a base in column w - 1 at bit 0 of the next line.  A stamp
+    whose mask is empty may land on line -1 or h + 1; both are the spare
+    line h + 1, which only ever ORs in zeros."""
+    lines = [0] * (h + 2)
+    stamps = [divmod(base + 1, w) + (row_from, col_from) for base, row_from, col_from in coarse]
+    row_top = max(row_from for _, _, row_from, _ in stamps)
+    col_top = max(col_from for _, _, _, col_from in stamps)
+    for up, classes in rows.items():
+        by_row, by_col, stay, move = _row_masks(classes, row_top, col_top)
+        for line, shift, row_from, col_from in stamps:
+            at = by_row[row_from] + by_col[col_from]
+            line += up
+            lines[line] |= stay[at] << shift
+            lines[line - 1] |= move[at] << shift
+    pixels = bytearray()
+    digits = f"0{w}b"
+    for y in range(h):
+        bits = lines[y] >> 1 | (lines[y + 1] & 1) << (w - 1)
+        pixels += format(bits, digits)[::-1].encode().translate(_BIT_PIXEL)
+    return pixels
+
+
+def _stamps_pay(fine: int, coarse: int, rows: int, w: int, h: int) -> bool:
+    """Whether to mark by _stamp, from the class and fine-row counts.
+
+    The keyed loop makes fine * coarse marks; _stamp makes coarse * rows
+    stamps, builds the row tables and turns w * h line bits into pixels.
+    Measured on CPython 3.11 (2-vCPU Xeon, best of 5, 20 renders of 32x32
+    to 4096x4096 pixels): a mark costs 65-145 ns; a stamp (two table
+    reads, two shifted ORs into a line) 190-620 ns, dearer the wider the
+    line, so 3 to 8 marks; the conversion 2-7 ns a pixel; the row tables
+    135-1850 ns an entry.  So a stamp must replace at least 8 marks
+    (fine >= 8 * rows) to be no dearer than they are at the worst ratio,
+    and the marks must outnumber the pixels, so that they also pay for
+    the conversion and the tables.  Neither constant is a break-even.
+    Over 669 renders of 16x16 to 4096x4096 pixels at depths 8 to 13 the
+    rule stamps 300; of those only a few, 64x64 pixels or fewer at depth
+    8, ran more than 10% slower than the keyed loop (by at most 18%, 0.16
+    ms), and it leaves about 1.3 s of the 9.7 s the stamps could save over
+    all 669.  A finer cost model that took more of that saving also
+    stamped wide renders where the stamps lost by up to 60%."""
+    return fine * coarse > w * h and fine >= 8 * rows
+
+
 def rasterize(cfg: RenderConfig) -> ImageGrid:
     """Affine-fit the cloud's bounding box into the grid and mark a pixel per
     point: the sum of a fine point (levels below depth // 2) and a coarse one.
@@ -146,7 +267,8 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
     a suffix.  The column carry rides in one integer per fine class,
     (offset << bits) + column class: adding ((base + 1) << bits) - column
     index and shifting right by bits gives base + offset, plus 1 iff the
-    class is at least the index."""
+    class is at least the index.  Dense renders, many fine classes to a
+    fine pixel row, OR whole rows of marks as bit masks instead (_stamp)."""
     depth = cfg.depth
     # negated digits negate every numerator, keeping the denominator positive
     digits = cfg.digits if cfg.poly.q**depth > 0 else [-d for d in cfg.digits]
@@ -160,23 +282,29 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
         _axis_fit(min(f) + min(c), max(f) + max(c), pixels, margin)
         for f, c, pixels in zip(zip(*fine_cloud), zip(*coarse_cloud), (cfg.width, cfg.height))
     )
-    w = cfg.width
+    w, h = cfg.width, cfg.height
+    # the fine cloud's leftmost pixel column (cs >= 0): the fit spans at
+    # most w - 1 columns, so a fine column counted from it lies in [0, w)
+    x0 = cs * min(a for a, _ in fine_cloud) // cd
     fine = []  # (row residue, pixel offset, column residue)
     for a, b in fine_cloud:
         xq, xr = divmod(cs * a, cd)
         yq, yr = divmod(rs * b, rd)
-        fine.append((yr, xq - w * yq, xr))
+        fine.append((yr, xq - x0 - w * yq, xr))
     coarse = []  # (pixel base, row residue threshold, column carry threshold)
-    top = (cfg.height - 1) * w  # image row 0 is the top
+    top = (h - 1) * w  # image row 0 is the top
     for a, b in coarse_cloud:
         cq, cr = divmod(cs * a + ct, cd)
         rq, rr = divmod(rs * b + rt, rd)
-        coarse.append((top - w * rq + cq, rd - rr, cd - cr))
+        coarse.append((top - w * rq + cq + x0, rd - rr, cd - cr))
     fine, coarse, bits = _classes(fine, coarse)
+    rows = _fine_rows(fine, w)
+    if _stamps_pay(len(fine), len(coarse), len(rows), w, h):
+        return ImageGrid(w, h, _stamp(rows, coarse, w, h))
     row_classes = [row for row, _, _ in fine]
     keys = [(offset << bits) + col for _, offset, col in fine]
     step = w << bits  # one row up the image
-    pixels = bytearray(w * cfg.height)
+    pixels = bytearray(w * h)
     for base, row_from, col_from in coarse:
         add = ((base + 1) << bits) - col_from
         split = bisect_left(row_classes, row_from)
@@ -185,7 +313,7 @@ def rasterize(cfg: RenderConfig) -> ImageGrid:
         add -= step
         for key in keys[split:]:
             pixels[(key + add) >> bits] = 1
-    return ImageGrid(w, cfg.height, pixels)
+    return ImageGrid(w, h, pixels)
 
 
 def write_image(grid: ImageGrid, path) -> None:

@@ -6,7 +6,7 @@ from itertools import accumulate, chain, compress, islice
 from operator import itemgetter, not_
 
 from tileconn.expansions import Witness
-from tileconn.lattice import coord_action, enumerate_expanding
+from tileconn.lattice import adj_action, coord_action, enumerate_expanding
 from tileconn.membership import StateBox
 from tileconn.render import ImageGrid, _axis_fit
 from tileconn.series import envelope_numerators, series_sums
@@ -170,6 +170,18 @@ def scaled_points(cfg):
         points = [(-a, -b) for a, b in points]
         q_t = -q_t
     return points, q_t
+
+
+def cloud_by_levels(poly, levels):
+    """render._cloud one level at a time: n' = adj(A) (d * q^t + n) for
+    every level, a level holding only the zero digit included."""
+    points = [(0, 0)]
+    q_t = 1
+    for digits in levels:
+        points = [adj_action(poly, (l * q_t + n_l, k * q_t + n_k))
+                  for l, k in digits for n_l, n_k in points]
+        q_t *= poly.q
+    return points
 
 
 def rasterize_by_points(cfg):

@@ -49,6 +49,7 @@ from oracles import (
 )
 
 ORACLE_DEPTH = 8
+WIDE_QUADRATICS = [poly for det_abs in range(2, 31) for poly in enumerate_expanding(det_abs)]
 
 
 def box_of(ds):
@@ -576,16 +577,8 @@ class TestIsConnected:
         mirrored = DigitSystem(CharPoly(-poly.p, poly.q), [(l, -k) for l, k in digits])
         assert is_connected(mirrored) == is_connected(DigitSystem(poly, digits))
 
-    @given(
-        st.sampled_from(QUADRATICS),
-        st.lists(
-            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5, unique=True
-        ),
-        st.integers(-3, 3),
-        st.integers(-3, 3),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_commutant_law(self, poly, digits, a, b):
+    @staticmethod
+    def check_commutant_law(poly, digits, a, b, skip_over_budget=False):
         # P = aI + bA commutes with A, so when det P = a^2 - pab + qb^2 != 0,
         # T(A, PD) = P T(A, D): d_i - d_j lies in T - T exactly when
         # P(d_i - d_j) lies in the image system's, and P maps each witness
@@ -599,11 +592,41 @@ class TestIsConnected:
 
         ds = DigitSystem(poly, digits)
         mapped = DigitSystem(poly, [image(d) for d in ds.digits])
+        if skip_over_budget:  # a box past the state budget is refused, not decided
+            for system in (ds, mapped):
+                l_max, k_max = box_of(system)
+                assume((2 * l_max + 1) * (2 * k_max + 1) <= membership.MAX_BOX_STATES)
         graph, mapped_graph = edge_graph(ds), edge_graph(mapped)
         assert mapped_graph.edges == graph.edges
         for (i, j), witness in graph.witnesses.items():
             word = Witness(tuple(map(image, witness.preperiod)), tuple(map(image, witness.period)))
             assert verify_witness(mapped, mapped.digits[i] - mapped.digits[j], word)
+
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=5, unique=True
+        ),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_commutant_law(self, poly, digits, a, b):
+        self.check_commutant_law(poly, digits, a, b)
+
+    # every expanding quadratic with |q| up to 30 (1798 of them) and digits
+    # in [-3, 3]^2; about 3% of the draws put a box past the state budget
+    @given(
+        st.sampled_from(WIDE_QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=5, unique=True
+        ),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_commutant_law_wide(self, poly, digits, a, b):
+        self.check_commutant_law(poly, digits, a, b, skip_over_budget=True)
 
     def test_witness_words_stay_in_difference_set(self):
         ds = DigitSystem(CharPoly(3, 3), standard_digits(-1))

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from tileconn.render import (
 )
 from tileconn.series import series_sums
 
-from oracles import QUADRATICS, envelope, rasterize_by_points, scaled_points
+from oracles import QUADRATICS, cloud_by_levels, envelope, rasterize_by_points, scaled_points
 
 
 def oracle_points(cfg):
@@ -134,6 +135,17 @@ class TestPoints:
         cfg = RenderConfig(CharPoly(0, 3), standard_digits(1), depth=5)
         assert len(scaled_points(cfg)[0]) == 3**5
 
+    # rasterize's fine cloud ends in zero levels, applied as one power of
+    # adj(A), and its coarse cloud starts with them
+    @given(st.sampled_from(QUADRATICS),
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4),
+           st.integers(0, 4), st.integers(0, 12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_cloud_matches_level_by_level(self, poly, digits, m, zeros, coarse):
+        levels = [digits] * m
+        levels = [[(0, 0)]] * zeros + levels if coarse else levels + [[(0, 0)]] * zeros
+        assert render._cloud(poly, levels) == cloud_by_levels(poly, levels)
+
     @pytest.mark.parametrize("p,q,k", [(0, 3, 1), (3, 3, 2), (1, -3, -1)])
     def test_envelope_contains_all_points(self, p, q, k):
         cfg = RenderConfig(CharPoly(p, q), standard_digits(k), depth=6)
@@ -153,6 +165,21 @@ def render_configs(draw, max_points=20_000):
                         depth=draw(st.integers(1, max_depth)),
                         width=draw(st.integers(16, 200)), height=draw(st.integers(16, 200)),
                         margin=draw(st.sampled_from([0, 0.05, 0.25, 0.49])))
+
+
+@st.composite
+def dense_configs(draw, max_points=20_000):
+    """Small images of deep words: many fine classes share a fine pixel row."""
+    digits = draw(st.one_of(
+        st.sampled_from([1, -1, 2, -2, 3, -3]).map(standard_digits),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                 min_size=2, max_size=4, unique=True),
+    ))
+    max_depth = max(d for d in range(1, 10) if len(digits) ** d <= max_points)
+    return RenderConfig(draw(st.sampled_from(QUADRATICS)), digits,
+                        depth=draw(st.integers(min(7, max_depth), max_depth)),
+                        width=draw(st.integers(16, 48)), height=draw(st.integers(16, 48)),
+                        margin=draw(st.sampled_from([0, 0.05, 0.25])))
 
 
 class TestAxisFit:
@@ -185,11 +212,78 @@ class TestAxisFit:
         assert any(x.denominator == 2 for x in exact) == ties
 
 
+@pytest.fixture
+def chosen(monkeypatch):
+    """The marking paths rasterize takes, in order: True for the row stamps."""
+    taken = []
+    pays = render._stamps_pay
+
+    def recorded(*counts):
+        taken.append(pays(*counts))
+        return taken[-1]
+
+    monkeypatch.setattr(render, "_stamps_pay", recorded)
+    return taken
+
+
 class TestRasterize:
     @given(render_configs())
     @settings(max_examples=100, deadline=None)
     def test_matches_point_cloud_oracle(self, cfg):
         assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
+
+    @pytest.mark.parametrize("stamped", [False, True], ids=["keyed", "stamped"])
+    @given(cfg=st.one_of(render_configs(), dense_configs()))
+    @settings(max_examples=60, deadline=None)
+    def test_both_paths_match_oracle(self, stamped, cfg):
+        with patch.object(render, "_stamps_pay", lambda *counts: stamped):
+            assert rasterize(cfg).pixels == rasterize_by_points(cfg).pixels
+
+    # found by search: each case on the path the selection takes (stamped)
+    # and, forced, on the other one
+    @pytest.mark.parametrize("p,q,digits,depth,width,height,margin,stamped", [
+        # margin 0, and on each axis a half-pixel tie whose carry sets a pixel
+        # that rounding the tie down would not
+        pytest.param(0, -3, standard_digits(-1), 8, 39, 40, 0, True, id="ties-stamped"),
+        pytest.param(-2, 2, standard_digits(2), 7, 35, 32, 0, False, id="ties-keyed"),
+        # negative q at odd depth: the digits are negated
+        pytest.param(0, -3, standard_digits(-1), 9, 39, 33, 0, True, id="odd-negative-stamped"),
+        pytest.param(-3, -5, standard_digits(2), 7, 41, 46, 0, False, id="odd-negative-keyed"),
+        # tall and wide images
+        pytest.param(-1, -5, standard_digits(2), 9, 17, 82, 0.25, True, id="tall-stamped"),
+        pytest.param(-1, -3, standard_digits(-1), 7, 39, 180, 0.05, False, id="tall-keyed"),
+        pytest.param(-3, 3, standard_digits(1), 9, 165, 26, 0, True, id="wide-stamped"),
+        pytest.param(4, -6, standard_digits(1), 7, 71, 22, 0.25, False, id="wide-keyed"),
+        # a coarse base in column -1, every pair at it carrying: a line's
+        # extra low bit keeps the shift non-negative
+        pytest.param(0, -2, [(0, 0), (0, -1)], 3, 17, 16, 0, False, id="guard-keyed"),
+        pytest.param(0, 6, standard_digits(-2), 9, 40, 29, 0, True, id="guard-stamped"),
+        # a coarse base in column w - 1: its pixel is bit 0 of the next line
+        pytest.param(0, -6, standard_digits(3), 9, 23, 18, 0, True, id="wrap-stamped"),
+        pytest.param(0, -5, standard_digits(1), 9, 31, 25, 0, False, id="wrap-keyed"),
+    ])
+    def test_paths_on_found_cases(self, monkeypatch, chosen, p, q, digits, depth, width,
+                                  height, margin, stamped):
+        cfg = RenderConfig(CharPoly(p, q), digits, depth=depth, width=width, height=height,
+                           margin=margin)
+        expected = rasterize_by_points(cfg).pixels
+        assert rasterize(cfg).pixels == expected
+        assert chosen == [stamped]
+        monkeypatch.setattr(render, "_stamps_pay", lambda *counts: not stamped)
+        assert rasterize(cfg).pixels == expected
+
+    # the two k = 2 calibration renders stamp fine rows and the two k = 1
+    # ones keep the keyed marks, so the benchmark times both paths; the
+    # dense CI render stamps, the tall one keeps the keyed marks
+    @pytest.mark.parametrize("p,k,depth,width,height,stamped", [
+        (0, 1, 12, 512, 512, False), (0, 2, 12, 512, 512, True),
+        (1, 1, 12, 512, 512, False), (1, 2, 12, 512, 512, True),
+        (2, -3, 12, 640, 384, True), (1, 2, 12, 64, 4096, False),
+    ])
+    def test_marking_path_taken(self, chosen, p, k, depth, width, height, stamped):
+        rasterize(RenderConfig(CharPoly(p, 3), standard_digits(k), depth=depth, width=width,
+                               height=height))
+        assert chosen == [stamped]
 
     @pytest.mark.parametrize("p,q,k,depth", [(1, 3, 2, 8), (1, -3, -1, 7), (0, -2, 1, 9)])
     def test_matches_oracle_at_depth(self, p, q, k, depth):
