@@ -133,11 +133,12 @@ def _as_vecs(digits: Iterable) -> tuple[LatticeVec, ...]:
     return tuple(LatticeVec(int(d[0]), int(d[1])) for d in digits)
 
 
-_FIELDS = ("poly", "digits")
-_DECIDED = ("_differences", "_search_memo", "_edge_graph", "_member_outcomes")
+class _Record(NamedTuple):
+    poly: CharPoly
+    digits: tuple[LatticeVec, ...]
 
 
-class DigitSystem:
+class DigitSystem(_Record):
     """An expanding polynomial together with an ordered digit list.
 
     The digit order is preserved as given; edge reports refer to digits by
@@ -145,15 +146,15 @@ class DigitSystem:
     include the zero digit) come from standard_digits(); arbitrary digit lists
     are accepted so that translated systems stay expressible.
 
-    poly and digits are read-only, and equality and hashing go by them.  The
-    other slots hold what was decided for the system, each None until first
-    built: its difference set here, and the search memo, edge graph and
-    member outcomes that membership fills in.
+    A tuple of (poly, digits), so both are read-only and equality and hashing
+    go by them.  What was decided for the system lives in instance
+    attributes, each None until first built: its difference set here, and
+    the search memo, edge graph and member outcomes that membership fills in.
     """
 
-    __slots__ = _FIELDS + _DECIDED
+    _differences = _search_memo = _edge_graph = _member_outcomes = None
 
-    def __init__(self, poly: CharPoly, digits: Iterable) -> None:
+    def __new__(cls, poly: CharPoly, digits: Iterable) -> "DigitSystem":
         digits = _as_vecs(digits)
         if not digits:
             raise ValueError("digit set must be nonempty")
@@ -161,29 +162,7 @@ class DigitSystem:
             raise ValueError("digits must be pairwise distinct")
         if not is_expanding(poly):
             raise ValueError(f"{poly} is not expanding")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "digits", digits)
-        for name in _DECIDED:
-            object.__setattr__(self, name, None)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _FIELDS:
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.poly == other.poly and self.digits == other.digits
-
-    def __hash__(self) -> int:
-        return hash((self.poly, self.digits))
-
-    def __repr__(self) -> str:
-        return f"DigitSystem(poly={self.poly!r}, digits={self.digits!r})"
+        return super().__new__(cls, poly, digits)
 
     def __reduce__(self):
         # copies and pickles are built anew, so they start undecided

@@ -20,9 +20,9 @@ edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
 and its result carries the whole decision for an instance: the edges, a
 witness for each, a spanning set of edges and the connectedness verdict.
 
-Each DigitSystem keeps, in the slots it declares beside its difference set,
-what was decided for it: the search memo, its edge graph and the verified
-outcome of every member delta, by box index.  They go when it goes.
+Each DigitSystem keeps, in attributes beside its difference set, what was
+decided for it: the search memo, its edge graph and the verified outcome of
+every member delta, by box index.  They go when it goes.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from tileconn.lattice import (
     pairwise_differences,
     standard_digits,
 )
+from tileconn.membership import decide_membership, edge_graph
 
 from oracles import QUADRATICS
 
@@ -153,13 +154,21 @@ class TestDigitSystem:
         assert len({ds, same}) == 1
         assert ds != DigitSystem(CharPoly(1, 3), [(1, 0), (0, 0), (0, 1)])
         assert ds != DigitSystem(CharPoly(-1, 3), standard_digits(1))
+        # a record of (poly, digits): equal to, hashed and unpacked as that tuple
+        assert ds == (ds.poly, ds.digits) and hash(ds) == hash((ds.poly, ds.digits))
+        poly, digits = ds
+        assert poly is ds.poly and digits is ds.digits
 
     def test_copies_and_pickles_are_equal(self):
         ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
-        ds.differences
+        edge_graph(ds)
+        assert decide_membership(ds, (0, 0)).member
+        decided = ("_differences", "_search_memo", "_edge_graph", "_member_outcomes")
+        assert all(getattr(ds, name) is not None for name in decided)
         for other in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
             assert other == ds and other is not ds
-            assert other._differences is None  # built anew, so undecided
+            # built anew, so undecided
+            assert [getattr(other, name) for name in decided] == [None] * 4
 
 
 def test_standard_digits():
