@@ -17,6 +17,7 @@ for the membership decider.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .lattice import (
@@ -80,14 +81,15 @@ def replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
     preperiod, the states repeat and stay bounded, A^{-n} s_n tends to 0 and
     delta is the value of the word.  Conversely, if delta is that value,
     s_n is the value of the word's remaining digits, which is the same after
-    the preperiod and after one more period.  Integers only; the same
-    preconditions as eval_expansion.
+    the preperiod and after one more period.  Integers only (a coordinate of
+    delta that is not an integer raises TypeError); the same preconditions
+    as eval_expansion.
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
     if not w.period:
         raise ValueError("period must be nonempty")
-    return _replays(poly, delta, w)
+    return _replays(poly, (index(delta[0]), index(delta[1])), w)
 
 
 def _replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:

@@ -11,6 +11,7 @@ pairs.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, NamedTuple
 
 # Most digit pairs a difference set may come from (about 141 digits): under
@@ -47,14 +48,15 @@ class _Coefficients(NamedTuple):
 class CharPoly(_Coefficients):
     """Monic quadratic x^2 + p*x + q with integer coefficients, q != 0.
 
-    A tuple of (p, q), so hashing it and reading p and q run in C."""
+    A tuple of (p, q), so hashing it and reading p and q run in C.  A
+    coefficient that is not an integer (a float, a string) raises TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, p: int, q: int) -> "CharPoly":
         if q == 0:
             raise ValueError("q must be nonzero (the matrix must be invertible)")
-        return super().__new__(cls, p, q)
+        return super().__new__(cls, index(p), index(q))
 
     @property
     def discriminant(self) -> int:
@@ -93,44 +95,25 @@ def adj_action(poly: CharPoly, vec) -> tuple[int, int]:
 
 
 def is_expanding(poly: CharPoly) -> bool:
-    """True iff both roots of the polynomial have modulus strictly above 1.
+    """True iff both roots have modulus strictly above 1: |q| > 1 and |p| < |q + 1|.
 
-    Decided exactly from the integer coefficients: complex roots share
-    modulus sqrt(q), so q >= 2 settles that branch; for real roots the signs
-    of f(1), f(-1) and the vertex position -p/2 settle it.
-    """
-    p, q = poly.p, poly.q
-    if poly.discriminant < 0:
-        return q >= 2
-    f_pos = 1 + p + q
-    f_neg = 1 - p + q
-    if f_pos < 0 and f_neg < 0:
-        # one real root below -1 and one above +1
-        return True
-    # both roots on the same side of [-1, 1]: endpoint values positive and
-    # the parabola's vertex outside the interval
-    return f_pos > 0 and f_neg > 0 and abs(p) > 2
+    Exact on the integers: the roots of x^2 + p*x + q lie outside the unit
+    circle iff those of its reciprocal q*y^2 + p*y + 1 lie inside it, and
+    the two inequalities are the Schur-Cohn conditions for that."""
+    p, q = poly
+    return abs(q) > 1 and abs(p) < abs(q + 1)
 
 
 def enumerate_expanding(det_abs: int) -> list[CharPoly]:
-    """All expanding x^2 + p*x + q with |q| == det_abs, ordered by (q, p).
-
-    |p| <= |q| + 1 is forced: with both root moduli above 1,
-    (|r1| - 1)(|r2| - 1) > 0 gives |r1| + |r2| < |r1*r2| + 1.
-    """
+    """All expanding x^2 + p*x + q with |q| == det_abs (each has |p| <= |q|), by (q, p)."""
     if det_abs < 1:
         raise ValueError("det_abs must be positive")
-    found = []
-    for q in (-det_abs, det_abs):
-        for p in range(-det_abs - 1, det_abs + 2):
-            poly = CharPoly(p, q)
-            if is_expanding(poly):
-                found.append(poly)
-    return found
+    return [poly for q in (-det_abs, det_abs) for p in range(-det_abs, det_abs + 1)
+            if is_expanding(poly := CharPoly(p, q))]
 
 
 def _as_vecs(digits: Iterable) -> tuple[LatticeVec, ...]:
-    return tuple(LatticeVec(int(d[0]), int(d[1])) for d in digits)
+    return tuple(LatticeVec(index(d[0]), index(d[1])) for d in digits)
 
 
 class _Record(NamedTuple):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import combinations
+from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -178,9 +179,10 @@ def decide_membership(ds: DigitSystem, delta: LatticeVec) -> MembershipOutcome:
     """Decide delta in T - T; members come with a verified periodic witness.
 
     Raises ValueError when the state box holds more than MAX_BOX_STATES
-    states, or the digits make more than lattice.MAX_DIGIT_PAIRS pairs.
+    states, or the digits make more than lattice.MAX_DIGIT_PAIRS pairs, and
+    TypeError when a coordinate of delta is not an integer.
     """
-    delta = LatticeVec(int(delta[0]), int(delta[1]))
+    delta = LatticeVec(index(delta[0]), index(delta[1]))
     if ds._search_memo is None:
         ds._search_memo = _survivor_set(ds.poly, ds.differences)
     box, memo = ds._search_memo

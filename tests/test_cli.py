@@ -80,9 +80,11 @@ class TestDecide:
         ("1,1", "x^2+x+1 is not expanding: root -0.5+0.866025j has modulus 1"),
         ("0,1", "x^2+1 is not expanding: root 0+1j has modulus 1"),
         ("0,-1", "x^2-1 is not expanding: root 1 has modulus 1"),
+        # on the boundary |p| = |q + 1| of the expandingness test
+        ("2,-3", "x^2+2x-3 is not expanding: root 1 has modulus 1"),
         # the float quadratic formula cancels to root 0 here; Vieta does not
         (f"{10**150},3", f"x^2+{10**150}x+3 is not expanding: root -3e-150 has modulus 3e-150"),
-    ], ids=["x^2+x+1", "x^2+1", "x^2-1", "p=10^150"])
+    ], ids=["x^2+x+1", "x^2+1", "x^2-1", "x^2+2x-3", "p=10^150"])
     def test_non_expanding_names_the_smaller_root(self, capsys, poly, detail):
         code, out, err = run(capsys, "decide", "--poly", poly, "--digits", "0,0;1,0")
         assert (code, out) == (2, "")

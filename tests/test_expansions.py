@@ -106,6 +106,16 @@ class TestReplays:
         with pytest.raises(ValueError):
             replays(CharPoly(2, -3), (1, 0), Witness((), (LatticeVec(1, 0),)))
 
+    @pytest.mark.parametrize("delta", [(1.5, 0), (1, 0.0), ("1", "0")], ids=str)
+    def test_rejects_non_integer_delta(self, delta):
+        item = expansion_catalog()[1]
+        assert replays(item.poly, item.delta, item.witness)
+        ds = DigitSystem(item.poly, standard_digits(item.k))
+        with pytest.raises(TypeError):
+            replays(item.poly, delta, item.witness)
+        with pytest.raises(TypeError):
+            verify_witness(ds, delta, item.witness)
+
 
 class TestCorpus:
     def test_size(self):

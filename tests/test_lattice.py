@@ -28,6 +28,14 @@ def test_charpoly_rejects_zero_q():
         CharPoly(1, 0)
 
 
+@pytest.mark.parametrize(
+    "p, q", [(0.5, 3), (1, 3.0), ("1", 3), (1, "3")], ids=["0.5,3", "1,3.0", "str p", "str q"]
+)
+def test_charpoly_rejects_non_integers(p, q):
+    with pytest.raises(TypeError):
+        CharPoly(p, q)
+
+
 def test_charpoly_repr():
     assert repr(CharPoly(1, 3)) == "CharPoly(p=1, q=3)"
 
@@ -76,6 +84,11 @@ class TestAdjAction:
         assert coord_action(poly, adj_action(poly, (l, k))) == (poly.q * l, poly.q * k)
 
 
+def _min_root_modulus(p, q):
+    disc = cmath.sqrt(complex(p * p - 4 * q))
+    return min(abs((-p + disc) / 2), abs((-p - disc) / 2))
+
+
 class TestIsExpanding:
     def test_examples(self):
         assert is_expanding(CharPoly(1, 3))
@@ -85,14 +98,29 @@ class TestIsExpanding:
         assert not is_expanding(CharPoly(3, -3))
 
     def test_agrees_with_float_roots(self):
-        # exhaustive cross-check on |p| <= 10, 2 <= |q| <= 10
-        for p in range(-10, 11):
-            for q in list(range(-10, -1)) + list(range(2, 11)):
+        # exhaustive cross-check on 1 <= |q| <= 30, |p| <= |q| + 3
+        for q in list(range(-30, 0)) + list(range(1, 31)):
+            for p in range(-abs(q) - 3, abs(q) + 4):
                 poly = CharPoly(p, q)
-                disc = cmath.sqrt(complex(p * p - 4 * q))
-                min_mod = min(abs((-p + disc) / 2), abs((-p - disc) / 2))
+                min_mod = _min_root_modulus(p, q)
                 by_floats = min_mod > 1 + 1e-9
                 assert is_expanding(poly) == by_floats, (p, q, min_mod)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 10, 10**40], ids=["2", "3", "4", "5", "10", "10^40"])
+    def test_boundary_families(self, size):
+        # exact, no floats: a root at +1 or -1 is the boundary p = +-|q + 1|
+        def root_at(p, q, x):
+            return x * x + p * x + q == 0
+
+        q = size  # q >= 2: p = +-(q + 1) has the root -+1, p = +-q is expanding
+        for s in (1, -1):
+            assert root_at(s * (q + 1), q, -s) and not is_expanding(CharPoly(s * (q + 1), q))
+            assert is_expanding(CharPoly(s * q, q))
+        q = -size  # q <= -2: p = +-(|q| - 1) has the root +-1
+        for s in (1, -1):
+            assert root_at(s * (size - 1), q, s) and not is_expanding(CharPoly(s * (size - 1), q))
+            if size >= 3:
+                assert is_expanding(CharPoly(s * (size - 2), q))
 
 
 class TestEnumerateExpanding:
@@ -112,6 +140,13 @@ class TestEnumerateExpanding:
         with pytest.raises(ValueError):
             enumerate_expanding(0)
 
+    def test_agrees_with_float_roots(self):
+        assert enumerate_expanding(1) == []
+        for n in range(1, 31):
+            expect = [(p, q) for q in (-n, n) for p in range(-n - 2, n + 3)
+                      if _min_root_modulus(p, q) > 1 + 1e-9]
+            assert [(c.p, c.q) for c in enumerate_expanding(n)] == expect, n
+
 
 class TestDigitSystem:
     def test_rejects_duplicate_digits(self):
@@ -125,6 +160,12 @@ class TestDigitSystem:
     def test_rejects_non_expanding_poly(self):
         with pytest.raises(ValueError):
             DigitSystem(CharPoly(2, -3), standard_digits(1))
+
+    @pytest.mark.parametrize("digit", [(0.9, 1), (1, 1.0), ("0", "1")], ids=str)
+    def test_rejects_non_integer_digits(self, digit):
+        # int() would truncate (0.9, 1) into the digit (0, 1)
+        with pytest.raises(TypeError):
+            DigitSystem(CharPoly(1, 3), [(0, 0), (1, 0), digit])
 
     def test_digit_order_preserved(self):
         ds = DigitSystem(CharPoly(1, 3), [(1, 0), (0, 0)])

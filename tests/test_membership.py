@@ -163,6 +163,13 @@ class TestDecideMembership:
         outcome = decide_membership(ds, LatticeVec(0, 2))
         assert not outcome.member and outcome.witness is None
 
+    @pytest.mark.parametrize("delta", [(1.5, 0), (1, 0.0), ("1", "0")], ids=str)
+    def test_rejects_non_integer_delta(self, delta):
+        # int() would truncate (1.5, 0) to the member (1, 0)
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
+        with pytest.raises(TypeError):
+            decide_membership(ds, delta)
+
     def test_witnesses_verify_for_all_sweep_members(self):
         for poly in enumerate_expanding(3):
             for k in (1, -1):
