@@ -82,14 +82,18 @@ def replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
     delta is the value of the word.  Conversely, if delta is that value,
     s_n is the value of the word's remaining digits, which is the same after
     the preperiod and after one more period.  Integers only (a coordinate of
-    delta that is not an integer raises TypeError); the same preconditions
-    as eval_expansion.
+    delta or of a digit that is not an integer raises TypeError); the same
+    preconditions as eval_expansion.
     """
     if not is_expanding(poly):
         raise ValueError(f"{poly} is not expanding")
     if not w.period:
         raise ValueError("period must be nonempty")
-    return _replays(poly, (index(delta[0]), index(delta[1])), w)
+    word = Witness(
+        tuple([(index(l), index(k)) for l, k in w.preperiod]),
+        tuple([(index(l), index(k)) for l, k in w.period]),
+    )
+    return _replays(poly, (index(delta[0]), index(delta[1])), word)
 
 
 def _replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
@@ -107,8 +111,7 @@ def _replays(poly: CharPoly, delta: LatticeVec, w: Witness) -> bool:
 def verify_witness(ds: DigitSystem, delta: LatticeVec, w: Witness) -> bool:
     """True iff every digit of w lies in the difference set of ds and the
     word evaluates to delta (checked by integer replay)."""
-    allowed = set(ds.differences)
-    if any(d not in allowed for d in w.preperiod + w.period):
+    if not set(ds.differences).issuperset(w.preperiod + w.period):
         return False
     return replays(ds.poly, delta, w)
 

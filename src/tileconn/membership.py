@@ -28,6 +28,7 @@ every member delta, by box index.  They go when it goes.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 from operator import index
 from types import MappingProxyType
@@ -108,18 +109,35 @@ def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox,
     n_states = width * (2 * k_max + 1)
     if n_states > MAX_BOX_STATES:
         raise ValueError(f"state box of {n_states} states exceeds the budget of {MAX_BOX_STATES}")
-    # (l, k) moves by w to (-q*k - w.l, l - p*k - w.k), in the box for one run
-    # of l per row k and w.k.  The entry of -s, at index n_states - 1 -
-    # index(s), mirrors that of s, so the rows past k = 0 are copied.
+    # (l, k) moves by w to (-q*k - w.l, l - p*k - w.k), in the box when w.l
+    # lies within l_max of -q*k and l - p*k within k_max of w.k.  The w.l
+    # row k allows are a run of the sorted distinct w.l, and the rows that
+    # allow the same run are consecutive, as -q*k moves one way.  Such a band
+    # of rows shares one pattern over x = l - p*k, unknown on the union of
+    # [w.k - k_max, w.k + k_max], and each row copies its window of it.  The
+    # entry of -s, at index n_states - 1 - index(s), mirrors that of s, so
+    # the rows past k = 0 are copied.
     memo = array("H", [_DEAD]) * n_states
-    unknown = array("H", [_UNKNOWN]) * width
+    unknown = array("H", [_UNKNOWN]) * (2 * k_max + 1)
+    wks_by_wl: dict[int, set[int]] = {}
+    for wl, wk in dd:
+        wks_by_wl.setdefault(wl, set()).add(wk)
+    wls = sorted(wks_by_wl)
+    band = None
     for row, k in enumerate(range(-k_max, 1)):
-        base = row * width + l_max
-        for wk in {wk for wl, wk in dd if abs(q * k + wl) <= l_max}:
-            lo = max(p * k + wk - k_max, -l_max)
-            hi = min(p * k + wk + k_max, l_max)
-            if lo <= hi:
-                memo[base + lo : base + hi + 1] = unknown[: hi - lo + 1]
+        run = bisect_left(wls, -q * k - l_max), bisect_right(wls, l_max - q * k)
+        if run != band:
+            band = run
+            wks = set().union(*(wks_by_wl[wl] for wl in wls[run[0] : run[1]]))
+            x0 = min(wks, default=0) - k_max
+            pattern = array("H", [_DEAD]) * (max(wks) + k_max + 1 - x0 if wks else 0)
+            for wk in wks:
+                pattern[wk - k_max - x0 : wk + k_max + 1 - x0] = unknown
+        lo = max(x0 + p * k, -l_max)
+        hi = min(x0 + p * k + len(pattern) - 1, l_max)
+        if lo <= hi:
+            base = row * width + l_max
+            memo[base + lo : base + hi + 1] = pattern[lo - p * k - x0 : hi - p * k - x0 + 1]
     mid = n_states // 2  # the index of (0, 0)
     memo[mid + 1 :] = memo[:mid][::-1]
     while _memos and _memo_states + n_states > MEMO_BUDGET:

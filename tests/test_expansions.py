@@ -116,6 +116,21 @@ class TestReplays:
         with pytest.raises(TypeError):
             verify_witness(ds, delta, item.witness)
 
+    @pytest.mark.parametrize("digit", [(0.5, 0), (1.0, 0), (0, -1.0), ("1", "0")], ids=str)
+    @pytest.mark.parametrize("where", ["preperiod", "period"])
+    def test_rejects_non_integer_digit(self, digit, where):
+        # a float walk would answer False, not refuse
+        item = expansion_catalog()[1]  # p1q3.k1.v: preperiod (0,0), period of four
+        pre, per = item.witness
+        w = Witness((digit,) + pre, per) if where == "preperiod" else Witness(pre, per + (digit,))
+        with pytest.raises(TypeError):
+            replays(item.poly, item.delta, w)
+        with pytest.raises(TypeError):
+            replays(CharPoly(0, 3), (0, 0), Witness((digit,), ((0, 0),)))
+        if digit in {(1, 0), (0, -1)}:  # equal to a difference, so past the set screen
+            with pytest.raises(TypeError):
+                verify_witness(DigitSystem(item.poly, standard_digits(item.k)), item.delta, w)
+
 
 class TestCorpus:
     def test_size(self):

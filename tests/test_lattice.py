@@ -1,10 +1,12 @@
 import cmath
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tileconn import lattice
 from tileconn.lattice import (
     CharPoly,
     DigitSystem,
@@ -252,3 +254,62 @@ class TestDifferenceSet:
         dd = pairwise_differences(digits)
         assert LatticeVec(0, 0) in dd
         assert all(-d in dd for d in dd)
+
+
+class TestSharedDifferences:
+    """One difference set per distinct digit tuple, in a least recently used
+    cache that holds at most 2 * MAX_DIGIT_PAIRS + 1 vectors."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_difference_sets", {})
+        monkeypatch.setattr(lattice, "_held_vectors", 0)
+        return lattice._difference_sets
+
+    def test_equal_digit_tuples_share_one_set(self, cache):
+        ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
+        other = DigitSystem(CharPoly(0, -3), [(0, 0), (1, 0), (0, 2)])
+        assert other.digits is not ds.digits
+        assert other.differences is ds.differences
+        assert ds.differences == tuple(pairwise_differences(ds.digits))
+        assert list(cache) == [ds.digits]
+        # the same digits in another order are another tuple
+        swapped = DigitSystem(CharPoly(1, 3), [(0, 2), (1, 0), (0, 0)])
+        assert swapped.differences == ds.differences
+        assert swapped.differences is not ds.differences
+
+    def test_least_recently_used_set_goes_first(self, cache, monkeypatch):
+        # room for 21 vectors: three sets of 7
+        monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 10)
+        a, b, c, d = (DigitSystem(CharPoly(1, 3), standard_digits(k)) for k in (1, 2, 3, 4))
+        for ds in (a, b, c):
+            ds.differences
+        assert DigitSystem(a.poly, list(a.digits)).differences is a.differences
+        d.differences
+        assert list(cache) == [c.digits, a.digits, d.digits]
+        assert lattice._held_vectors == 21
+
+    def test_eviction_keeps_vectors_within_bound(self, cache, monkeypatch):
+        # room for 2 * 6 + 1 = 13 vectors; four digits make 6 pairs
+        monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 6)
+        first = DigitSystem(CharPoly(1, 3), standard_digits(1))
+        dd = first.differences
+        rng = random.Random(5)
+        cells = [(l, k) for l in range(-3, 4) for k in range(-3, 4)]
+        for _ in range(200):
+            digits = rng.sample(cells, rng.randint(1, 4))
+            ds = DigitSystem(CharPoly(1, 3), digits)
+            assert ds.differences == tuple(pairwise_differences(digits))
+            assert list(cache)[-1] == ds.digits
+            assert sum(map(len, cache.values())) == lattice._held_vectors <= 13
+        assert first.digits not in cache
+        assert first.differences is dd  # still kept on the system
+
+    def test_pair_budget_refuses_before_any_build(self, cache, monkeypatch):
+        built = []
+        monkeypatch.setattr(lattice, "_graded_differences", built.append)
+        ds = DigitSystem(CharPoly(1, 3), [(i, 0) for i in range(142)])
+        with pytest.raises(ValueError, match="10011 digit pairs exceed the pair budget of 10000"):
+            ds.differences
+        assert built == [] and cache == {} and lattice._held_vectors == 0
+        assert ds._differences is None

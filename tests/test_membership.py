@@ -18,7 +18,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tileconn import lattice, membership
 from tileconn.expansions import Witness, eval_expansion, verify_witness
@@ -64,6 +64,12 @@ def drop_memos():
     """Forget every shared search memo, as a new process starts."""
     membership._memos.clear()
     membership._memo_states = 0
+
+
+def drop_difference_sets():
+    """Forget every shared difference set, as a new process starts."""
+    lattice._difference_sets.clear()
+    lattice._held_vectors = 0
 
 
 def oracle_cycle_states(ds, box):
@@ -381,18 +387,53 @@ class TestSearchAgainstOracle:
         assert list(membership._memos) == [(big.poly, big.differences)]
         assert membership._memo_states == 341
 
-    def test_memo_starts_with_dead_states_marked(self):
-        # states whose successors all leave the box are dead before any search
-        ds = DigitSystem(CharPoly(2, 3), standard_digits(4))
+    @given(
+        st.sampled_from(QUADRATICS),
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-8, 8)), min_size=2, max_size=4, unique=True
+        ),
+    )
+    @example(CharPoly(2, 3), list(standard_digits(4)))
+    @example(CharPoly(0, -3), list(standard_digits(-5)))
+    @example(CharPoly(0, 5), list(standard_digits(3)))
+    @settings(max_examples=80)
+    def test_memo_starts_with_dead_states_marked(self, poly, digits):
+        # states whose successors all leave the box are dead before any
+        # search, the rest unknown; drawn so that some difference reaches
+        # past k_max and the outer rows lose some w.l, which the middle
+        # rows keep
+        ds = DigitSystem(poly, digits)
+        dd = ds.differences
+        box = box_of(ds)
+        assume(any(abs(w.k) > box.k_max for w in dd))
+        assume(any(abs(poly.q * box.k_max + w.l) > box.l_max for w in dd))
         drop_memos()
-        box, fresh = membership._survivor_set(ds.poly, ds.differences)
+        built, fresh = membership._survivor_set(poly, dd)
+        assert built == box
         width = 2 * box.l_max + 1
-        p, q = ds.poly.p, ds.poly.q
         for l, k in box_states(box):
-            image = (-q * k, l - p * k)
-            stays = any((image[0] - w.l, image[1] - w.k) in box for w in ds.differences)
+            image = coord_action(poly, (l, k))
+            stays = any((image[0] - w.l, image[1] - w.k) in box for w in dd)
             entry = fresh[(k + box.k_max) * width + l + box.l_max]
             assert entry == (membership._UNKNOWN if stays else membership._DEAD), (l, k)
+
+    def test_sweep_search_work_pinned(self):
+        # sweep --k-range -20..20 from fresh memos: box states, states dead
+        # before any search, states the searches settle dead, states alive
+        drop_memos()
+        box_total = born_dead = settled = alive = 0
+        for k in [k for k in range(-20, 21) if k]:
+            for poly in enumerate_expanding(3):
+                ds = DigitSystem(poly, standard_digits(k))
+                _, memo = membership._survivor_set(poly, ds.differences)
+                box_total += len(memo)
+                born_dead += memo.count(membership._DEAD)
+                edge_graph(ds)
+                assert ds._search_memo[1] is memo
+                assert memo.count(membership._ON_PATH) == 0
+                settled += memo.count(membership._DEAD)
+                alive += len(memo) - memo.count(membership._DEAD) - memo.count(membership._UNKNOWN)
+        assert (box_total, born_dead, settled - born_dead, alive) == (523_392, 177_336, 12_838, 6_210)
 
     def test_choice_fits_a_memo_entry(self):
         # dd has at most 2 * MAX_DIGIT_PAIRS + 1 entries
@@ -648,13 +689,14 @@ class TestIsConnected:
 
 def test_difference_set_built_once_per_digit_system(monkeypatch):
     calls = []
-    original = lattice.pairwise_differences
+    original = lattice._graded_differences
 
     def counted(digits):
-        calls.append(1)
+        calls.append(digits)
         return original(digits)
 
-    monkeypatch.setattr(lattice, "pairwise_differences", counted)
+    monkeypatch.setattr(lattice, "_graded_differences", counted)
+    drop_difference_sets()
     ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
     assert not calls  # building a system does not build its difference set
     graph = edge_graph(ds)
@@ -662,7 +704,13 @@ def test_difference_set_built_once_per_digit_system(monkeypatch):
         assert verify_witness(ds, ds.digits[i] - ds.digits[j], witness)
     survivors(ds)
     box_of(ds)
-    assert len(calls) == 1
+    # an equal system, and the same digits under another polynomial, take
+    # the set already built
+    twin = DigitSystem(CharPoly(1, 3), [(0, 0), (1, 0), (0, 1)])
+    assert edge_graph(twin) == graph
+    edge_graph(DigitSystem(CharPoly(-1, -3), standard_digits(1)))
+    assert twin.differences is ds.differences
+    assert calls == [ds.digits]
 
 
 class TestDecidedOnce:
