@@ -11,17 +11,17 @@ pairs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import index
 from typing import Iterable, NamedTuple
 
 # Most digit pairs a difference set may come from (about 141 digits).  It
-# bounds the memory of a difference set, not the time to decide on it; the
-# timing below is for compact digit sets only: under x^2+x+3, 141 digits make
-# 9870 pairs, whose edge graph takes 0.04-0.07 s on the first 141 cells of a
+# bounds the memory of a difference set, not the time to decide on it; this
+# timing is for compact digit sets only: under x^2+x+3, 141 digits make 9870
+# pairs, whose edge graph takes 0.04-0.07 s on the first 141 cells of a
 # 12x12 grid and 0.06-0.07 s with the grid spread to steps (3, 5): five fresh
-# processes each, 2-vCPU Xeon, CPython 3.11.  The cache of difference sets
-# below holds at most 2 * MAX_DIGIT_PAIRS + 1 vectors, the size of one
-# largest set.
+# processes each, 2-vCPU Xeon, CPython 3.11.  A largest set holds
+# 2 * MAX_DIGIT_PAIRS + 1 vectors, the budget of _graded_differences' cache.
 MAX_DIGIT_PAIRS = 10_000
 
 
@@ -165,7 +165,7 @@ class DigitSystem(_Record):
             pairs = len(self.digits) * (len(self.digits) - 1) // 2
             if pairs > MAX_DIGIT_PAIRS:
                 raise ValueError(f"{pairs} digit pairs exceed the pair budget of {MAX_DIGIT_PAIRS}")
-            self._differences = _shared_differences(self.digits)
+            self._differences = _graded_differences(self.digits)
         return self._differences
 
 
@@ -176,31 +176,19 @@ def standard_digits(k: int) -> tuple[LatticeVec, ...]:
     return (LatticeVec(0, 0), LatticeVec(1, 0), LatticeVec(0, k))
 
 
-def pairwise_differences(digits: Iterable) -> list[LatticeVec]:
-    """Deduplicated set {d - d' : d, d' in digits}, sorted by (|l| + |k|, (l, k))."""
-    return list(_graded_differences(_as_vecs(digits)))
+_held_vectors = 0  # vectors held by the cache of _graded_differences
 
 
+@lru_cache(maxsize=None)
 def _graded_differences(digits: tuple[LatticeVec, ...]) -> tuple[LatticeVec, ...]:
+    """{d - d' : d, d' in digits} sorted by (|l| + |k|, (l, k)); the cache is
+    emptied before a set would take it past 2 * MAX_DIGIT_PAIRS + 1 vectors."""
+    global _held_vectors
     # subtracted as int pairs, so only the distinct differences become vectors
     out = {(l - m, k - n) for l, k in digits for m, n in digits}
-    return tuple(LatticeVec(l, k) for l, k in sorted(out, key=lambda d: (abs(d[0]) + abs(d[1]), d)))
-
-
-_difference_sets: dict[tuple, tuple[LatticeVec, ...]] = {}  # digits -> differences; least recent first
-_held_vectors = 0  # vectors held in _difference_sets
-
-
-def _shared_differences(digits: tuple[LatticeVec, ...]) -> tuple[LatticeVec, ...]:
-    """The graded difference set of digits, built once per distinct digit
-    tuple.  Past 2 * MAX_DIGIT_PAIRS + 1 vectors, the size of one largest
-    set, the least recently used sets go."""
-    global _held_vectors
-    dd = _difference_sets.pop(digits, None)  # moved to the most recent end
-    if dd is None:
-        dd = _graded_differences(digits)
-        _held_vectors += len(dd)
-        while _difference_sets and _held_vectors > 2 * MAX_DIGIT_PAIRS + 1:
-            _held_vectors -= len(_difference_sets.pop(next(iter(_difference_sets))))
-    _difference_sets[digits] = dd
+    dd = tuple(LatticeVec(l, k) for l, k in sorted(out, key=lambda d: (abs(d[0]) + abs(d[1]), d)))
+    if _held_vectors + len(dd) > 2 * MAX_DIGIT_PAIRS + 1:
+        _graded_differences.cache_clear()
+        _held_vectors = 0
+    _held_vectors += len(dd)
     return dd

@@ -10,10 +10,14 @@ this, building the neighbour graph of Scheicher & Thuswaldner (2002) on
 demand.  It tries successors in the graded order of dd and stops at the
 first one on its path or known alive.  A state whose successors all leave
 the box or are dead is dead, and so is its negation, as dd = -dd.  The
-searches for one (polynomial, dd) share a memo of every box state.  A live
-state records its first successor that is not dead, which is its first live
-one, so the records trace the greedy walk through the live states; its
-eventually periodic word is the witness, re-checked by integer replay.
+searches for one (polynomial, dd) share a memo of every box state.
+
+The witness of a member delta is the greedy walk: from delta, take at each
+state the first difference w in graded order whose successor A s - w lies
+in T - T, and stop at the first state that repeats; the differences before
+the first visit of that state are the preperiod, the rest the period.  A
+live state records that w (its first successor that is not dead is its
+first live one), and the witness is re-checked by integer replay.
 
 T is connected exactly when the digit graph is: digits d_i and d_j share an
 edge when d_i - d_j lies in T - T.  edge_graph decides each digit pair once
@@ -22,13 +26,15 @@ witness for each, a spanning set of edges and the connectedness verdict.
 
 Each DigitSystem keeps, in attributes beside its difference set, what was
 decided for it: the search memo, its edge graph and the verified outcome of
-every member delta, by box index.  They go when it goes.
+every member delta, by box index.  They go when it goes, and stay when the
+shared caches are emptied.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import combinations
 from operator import index
 from types import MappingProxyType
@@ -41,8 +47,6 @@ from .series import SeriesBounds, envelope_numerators, series_sums
 # Largest state box _survivor_set will allocate: render's point budget, and
 # over 300 times the largest box of sweep --k-range -20..20 (5985 states).
 MAX_BOX_STATES = 2_000_000
-# Most box states the memos shared across digit systems hold together
-MEMO_BUDGET = 4 * MAX_BOX_STATES
 
 
 class StateBox(NamedTuple):
@@ -90,25 +94,27 @@ def state_box(ds: DigitSystem, bounds: SeriesBounds) -> StateBox:
 # Memo entries: unknown, on the search path, dead, or alive and going on by dd[entry - _ALIVE]
 _UNKNOWN, _ON_PATH, _DEAD, _ALIVE = range(4)
 _NOT_MEMBER = MembershipOutcome(False, None)
-_memos: dict[tuple, tuple[StateBox, array]] = {}  # (poly, dd) -> box, memo; least recent first
-_memo_states = 0  # box states held in _memos
+_held_states = 0  # box states held by the cache of _survivor_set
 
 
+@lru_cache(maxsize=None)
 def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox, array]:
     """The state box of (poly, dd) and the memo its searches share, one entry
     per state at index (k + k_max) * width + (l + l_max); states with no
-    in-box successor start dead.  Past MEMO_BUDGET states the least recently
-    used memos go.  The name predates the search: the benchmark spans it."""
-    global _memo_states
-    key = (poly, dd)
-    if key in _memos:  # moved to the most recent end
-        return _memos.setdefault(key, _memos.pop(key))
+    in-box successor start dead.  Before a memo would take the cache past
+    MAX_BOX_STATES states, the cache is emptied.  The name predates the
+    search: the benchmark spans it."""
+    global _held_states
     l_max, k_max = box = _floored_envelope(series_sums(poly), dd)
     p, q = poly.p, poly.q
     width = 2 * l_max + 1
     n_states = width * (2 * k_max + 1)
     if n_states > MAX_BOX_STATES:
         raise ValueError(f"state box of {n_states} states exceeds the budget of {MAX_BOX_STATES}")
+    if _held_states + n_states > MAX_BOX_STATES:
+        _clear_memos()
+        _held_states = 0
+    _held_states += n_states
     # (l, k) moves by w to (-q*k - w.l, l - p*k - w.k), in the box when w.l
     # lies within l_max of -q*k and l - p*k within k_max of w.k.  The w.l
     # row k allows are a run of the sorted distinct w.l, and the rows that
@@ -140,11 +146,11 @@ def _survivor_set(poly: CharPoly, dd: tuple[LatticeVec, ...]) -> tuple[StateBox,
             memo[base + lo : base + hi + 1] = pattern[lo - p * k - x0 : hi - p * k - x0 + 1]
     mid = n_states // 2  # the index of (0, 0)
     memo[mid + 1 :] = memo[:mid][::-1]
-    while _memos and _memo_states + n_states > MEMO_BUDGET:
-        _memo_states -= len(_memos.pop(next(iter(_memos)))[1])
-    _memos[key] = found = box, memo
-    _memo_states += n_states
-    return found
+    return box, memo
+
+
+# bound here, as a tracer may rebind the module name _survivor_set to a wrapper
+_clear_memos = _survivor_set.cache_clear
 
 
 def _search(poly: CharPoly, dd, box: StateBox, memo: array, l: int, k: int) -> None:

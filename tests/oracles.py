@@ -1,10 +1,11 @@
-"""Reference implementations shared by the test modules."""
+"""Reference implementations and helpers shared by the test modules."""
 
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
 from operator import itemgetter, not_
 
+from tileconn import lattice, membership
 from tileconn.expansions import Witness
 from tileconn.lattice import adj_action, coord_action, enumerate_expanding
 from tileconn.membership import StateBox
@@ -13,6 +14,14 @@ from tileconn.series import envelope_numerators, series_sums
 
 # every expanding quadratic with |q| in 2..6: 70 polynomials
 QUADRATICS = [poly for det_abs in range(2, 7) for poly in enumerate_expanding(det_abs)]
+
+
+def cold_caches():
+    """Empty the shared difference sets and search memos, as a new process starts."""
+    lattice._graded_differences.cache_clear()
+    lattice._held_vectors = 0
+    membership._survivor_set.cache_clear()
+    membership._held_states = 0
 
 
 def envelope(bounds, vecs):

@@ -15,12 +15,11 @@ from tileconn.lattice import (
     coord_action,
     enumerate_expanding,
     is_expanding,
-    pairwise_differences,
     standard_digits,
 )
 from tileconn.membership import decide_membership, edge_graph
 
-from oracles import QUADRATICS
+from oracles import QUADRATICS, cold_caches
 
 TEN_POLYS = [(-1, -3), (0, -3), (1, -3), (-3, 3), (-2, 3), (-1, 3), (0, 3), (1, 3), (2, 3), (3, 3)]
 
@@ -246,70 +245,78 @@ class TestDifferenceSet:
             {(a[0] - b[0], a[1] - b[1]) for a in digits for b in digits},
             key=lambda d: (abs(d[0]) + abs(d[1]), d),
         )
-        got = pairwise_differences(digits)
+        got = DigitSystem(CharPoly(1, 3), digits).differences
         assert [tuple(d) for d in got] == expect
 
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=6))
     def test_symmetric_and_contains_zero(self, digits):
-        dd = pairwise_differences(digits)
+        dd = DigitSystem(CharPoly(1, 3), dict.fromkeys(digits)).differences
         assert LatticeVec(0, 0) in dd
         assert all(-d in dd for d in dd)
 
 
 class TestSharedDifferences:
-    """One difference set per distinct digit tuple, in a least recently used
-    cache that holds at most 2 * MAX_DIGIT_PAIRS + 1 vectors."""
+    """One difference set per distinct digit tuple, in a cache that is
+    emptied before it would hold more than 2 * MAX_DIGIT_PAIRS + 1 vectors."""
 
     @pytest.fixture
-    def cache(self, monkeypatch):
-        monkeypatch.setattr(lattice, "_difference_sets", {})
-        monkeypatch.setattr(lattice, "_held_vectors", 0)
-        return lattice._difference_sets
+    def info(self):
+        cold_caches()
+        return lattice._graded_differences.cache_info
 
-    def test_equal_digit_tuples_share_one_set(self, cache):
+    def test_equal_digit_tuples_share_one_set(self, info):
         ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
         other = DigitSystem(CharPoly(0, -3), [(0, 0), (1, 0), (0, 2)])
         assert other.digits is not ds.digits
         assert other.differences is ds.differences
-        assert ds.differences == tuple(pairwise_differences(ds.digits))
-        assert list(cache) == [ds.digits]
+        assert info().misses == info().currsize == 1
         # the same digits in another order are another tuple
         swapped = DigitSystem(CharPoly(1, 3), [(0, 2), (1, 0), (0, 0)])
         assert swapped.differences == ds.differences
         assert swapped.differences is not ds.differences
 
-    def test_least_recently_used_set_goes_first(self, cache, monkeypatch):
+    def test_cache_emptied_when_the_next_set_would_pass_budget(self, info, monkeypatch):
         # room for 21 vectors: three sets of 7
         monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 10)
         a, b, c, d = (DigitSystem(CharPoly(1, 3), standard_digits(k)) for k in (1, 2, 3, 4))
         for ds in (a, b, c):
             ds.differences
         assert DigitSystem(a.poly, list(a.digits)).differences is a.differences
+        assert (info().currsize, lattice._held_vectors) == (3, 21)
         d.differences
-        assert list(cache) == [c.digits, a.digits, d.digits]
-        assert lattice._held_vectors == 21
+        assert (info().currsize, lattice._held_vectors) == (1, 7)
+        again = DigitSystem(a.poly, list(a.digits)).differences
+        assert again == a.differences and again is not a.differences
+        assert (info().currsize, lattice._held_vectors) == (2, 14)
+        # emptying the cache restarts its counts as well
+        assert (info().hits, info().misses) == (0, 1)
 
-    def test_eviction_keeps_vectors_within_bound(self, cache, monkeypatch):
-        # room for 2 * 6 + 1 = 13 vectors; four digits make 6 pairs
+    def test_eviction_keeps_vectors_within_bound(self, info, monkeypatch):
+        # room for 2 * 6 + 1 = 13 vectors; four digits make 6 pairs.  model
+        # holds the sizes of the sets built since the cache was last emptied.
         monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 6)
         first = DigitSystem(CharPoly(1, 3), standard_digits(1))
         dd = first.differences
+        model = {first.digits: len(dd)}
         rng = random.Random(5)
         cells = [(l, k) for l in range(-3, 4) for k in range(-3, 4)]
         for _ in range(200):
             digits = rng.sample(cells, rng.randint(1, 4))
             ds = DigitSystem(CharPoly(1, 3), digits)
-            assert ds.differences == tuple(pairwise_differences(digits))
-            assert list(cache)[-1] == ds.digits
-            assert sum(map(len, cache.values())) == lattice._held_vectors <= 13
-        assert first.digits not in cache
+            expect = {(a[0] - b[0], a[1] - b[1]) for a in digits for b in digits}
+            assert set(ds.differences) == expect and len(ds.differences) == len(expect)
+            if ds.digits not in model:
+                if sum(model.values()) + len(expect) > 13:
+                    model = {}
+                model[ds.digits] = len(expect)
+            assert lattice._held_vectors == sum(model.values()) <= 13
+            assert info().currsize == len(model)
+        assert first.digits not in model
         assert first.differences is dd  # still kept on the system
 
-    def test_pair_budget_refuses_before_any_build(self, cache, monkeypatch):
-        built = []
-        monkeypatch.setattr(lattice, "_graded_differences", built.append)
+    def test_pair_budget_refuses_before_any_build(self, info):
         ds = DigitSystem(CharPoly(1, 3), [(i, 0) for i in range(142)])
         with pytest.raises(ValueError, match="10011 digit pairs exceed the pair budget of 10000"):
             ds.differences
-        assert built == [] and cache == {} and lattice._held_vectors == 0
+        assert info() == (0, 0, None, 0) and lattice._held_vectors == 0
         assert ds._differences is None

@@ -42,6 +42,7 @@ from tileconn.sweep import sweep_theorem
 from oracles import (
     QUADRATICS,
     box_states,
+    cold_caches,
     flagged_states,
     greedy_walk,
     survivor_flags,
@@ -58,18 +59,6 @@ def box_of(ds):
 
 def survivors(ds):
     return flagged_states(*survivor_flags(ds.poly, ds.differences))
-
-
-def drop_memos():
-    """Forget every shared search memo, as a new process starts."""
-    membership._memos.clear()
-    membership._memo_states = 0
-
-
-def drop_difference_sets():
-    """Forget every shared difference set, as a new process starts."""
-    lattice._difference_sets.clear()
-    lattice._held_vectors = 0
 
 
 def oracle_cycle_states(ds, box):
@@ -318,7 +307,7 @@ class TestSearchAgainstOracle:
             st.integers(-box.l_max - 1, box.l_max + 1), st.integers(-box.k_max - 1, box.k_max + 1)
         )
         queries = data.draw(st.lists(st.tuples(near, st.booleans()), min_size=1, max_size=60))
-        drop_memos()
+        cold_caches()
         for delta, on_twin in queries:
             outcome = decide_membership(twin if on_twin else ds, delta)
             assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, delta), delta
@@ -337,7 +326,7 @@ class TestSearchAgainstOracle:
                 alive = flagged_states(box, flags)
                 states = box_states(box)
                 rng.shuffle(states)
-                drop_memos()
+                cold_caches()
                 for s in states:
                     outcome = decide_membership(ds, s)
                     assert (outcome.member, outcome.witness) == greedy_walk(ds, alive, s), s
@@ -362,30 +351,36 @@ class TestSearchAgainstOracle:
         assert len(calls) == 2
 
     def test_memos_bounded_by_the_states_they_hold(self, monkeypatch):
-        # 30 systems hold 2222 box states between them; a budget of 400
-        # keeps only the most recently used, and a box over the budget alone.
-        # The first system is asked again before each other one, so it stays.
-        monkeypatch.setattr(membership, "MEMO_BUDGET", 400)
-        monkeypatch.setattr(membership, "_memos", {})
-        monkeypatch.setattr(membership, "_memo_states", 0)
+        # 30 systems hold 2222 box states between them, the largest 207.
+        # With that as the budget, the cache is emptied exactly when the next
+        # memo would take it past 207 states; model holds the sizes of the
+        # memos built since then.  A system keeps its memo and still answers.
+        cold_caches()
+        monkeypatch.setattr(membership, "MAX_BOX_STATES", 207)
+        info = membership._survivor_set.cache_info
         systems = [DigitSystem(poly, standard_digits(k))
                    for k in (1, 2, 3) for poly in enumerate_expanding(3)]
-        first = systems[0]
+        model = {}
+        emptied = 0
         for ds in systems:
-            decide_membership(DigitSystem(first.poly, first.digits), (0, 0))
             decide_membership(ds, (0, 0))
-            memos = membership._memos
-            held = sum(len(memo) for _, memo in memos.values())
-            assert held == membership._memo_states
-            assert held <= 400
-            assert list(memos)[-1] == (ds.poly, ds.differences)
-            assert (first.poly, first.differences) in memos
-        assert len(membership._memos) < len(systems)
-        monkeypatch.setattr(membership, "MEMO_BUDGET", 100)
-        big = DigitSystem(CharPoly(3, 3), standard_digits(4))  # 341 states
-        decide_membership(big, (0, 0))
-        assert list(membership._memos) == [(big.poly, big.differences)]
-        assert membership._memo_states == 341
+            n_states = len(ds._search_memo[1])
+            if sum(model.values()) + n_states > 207:
+                model = {}
+                emptied += 1
+            model[ds] = n_states
+            assert membership._held_states == sum(model.values()) <= 207
+            assert info().currsize == len(model)
+        assert emptied == 13
+        first = systems[0]
+        assert first not in model
+        alive = flagged_states(*survivor_flags(first.poly, first.differences))
+        for s in box_states(box_of(first)):
+            outcome = decide_membership(first, s)
+            assert (outcome.member, outcome.witness) == greedy_walk(first, alive, s), s
+        twin = DigitSystem(first.poly, first.digits)
+        decide_membership(twin, (0, 0))
+        assert twin._search_memo is not first._search_memo
 
     @given(
         st.sampled_from(QUADRATICS),
@@ -407,7 +402,7 @@ class TestSearchAgainstOracle:
         box = box_of(ds)
         assume(any(abs(w.k) > box.k_max for w in dd))
         assume(any(abs(poly.q * box.k_max + w.l) > box.l_max for w in dd))
-        drop_memos()
+        cold_caches()
         built, fresh = membership._survivor_set(poly, dd)
         assert built == box
         width = 2 * box.l_max + 1
@@ -420,7 +415,7 @@ class TestSearchAgainstOracle:
     def test_sweep_search_work_pinned(self):
         # sweep --k-range -20..20 from fresh memos: box states, states dead
         # before any search, states the searches settle dead, states alive
-        drop_memos()
+        cold_caches()
         box_total = born_dead = settled = alive = 0
         for k in [k for k in range(-20, 21) if k]:
             for poly in enumerate_expanding(3):
@@ -447,7 +442,7 @@ class TestSearchAgainstOracle:
         # greedy witnesses
         ds = DigitSystem(CharPoly(1, 3), standard_digits(2))
         dd = ds.differences
-        drop_memos()
+        cold_caches()
         box, memo = membership._survivor_set(ds.poly, dd)
         alive = flagged_states(*survivor_flags(ds.poly, dd))
         width = 2 * box.l_max + 1
@@ -687,18 +682,11 @@ class TestIsConnected:
                         assert d in dd
 
 
-def test_difference_set_built_once_per_digit_system(monkeypatch):
-    calls = []
-    original = lattice._graded_differences
-
-    def counted(digits):
-        calls.append(digits)
-        return original(digits)
-
-    monkeypatch.setattr(lattice, "_graded_differences", counted)
-    drop_difference_sets()
+def test_difference_set_built_once_per_digit_system():
+    cold_caches()
+    info = lattice._graded_differences.cache_info
     ds = DigitSystem(CharPoly(1, 3), standard_digits(1))
-    assert not calls  # building a system does not build its difference set
+    assert info().misses == 0  # building a system does not build its difference set
     graph = edge_graph(ds)
     for (i, j), witness in graph.witnesses.items():
         assert verify_witness(ds, ds.digits[i] - ds.digits[j], witness)
@@ -710,7 +698,7 @@ def test_difference_set_built_once_per_digit_system(monkeypatch):
     assert edge_graph(twin) == graph
     edge_graph(DigitSystem(CharPoly(-1, -3), standard_digits(1)))
     assert twin.differences is ds.differences
-    assert calls == [ds.digits]
+    assert info().misses == info().currsize == 1
 
 
 class TestDecidedOnce:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tileconn import membership, sweep
+from tileconn import lattice, membership, sweep
 from tileconn.cli import main
 from tileconn.expansions import verify_witness
 from tileconn.lattice import CharPoly, DigitSystem, LatticeVec, standard_digits
@@ -16,6 +16,8 @@ from tileconn.sweep import (
     report_json,
     sweep_theorem,
 )
+
+from oracles import cold_caches
 
 # the ten |q| = 3 quadratics as (p, q), in sweep order
 GOLDEN_K2_POLYS = (
@@ -43,6 +45,24 @@ class TestSweepTheorem:
         assert report.theorem_verdict
         for e in report.entries:
             assert e.connected == (abs(e.k) == 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_verdict_fails_on_one_wrong_instance(self, monkeypatch, k):
+        # one instance of x^2+3 comes back with the wrong verdict: a
+        # disconnected |k| = 1 instance fails the theorem as a connected
+        # |k| = 2 one does
+        real = sweep.edge_graph
+
+        def one_flipped(ds):
+            graph = real(ds)
+            if ds.poly == CharPoly(0, 3) and ds.digits == standard_digits(k):
+                return graph._replace(connected=not graph.connected)
+            return graph
+
+        monkeypatch.setattr(sweep, "edge_graph", one_flipped)
+        report = sweep_theorem(-2, 2)
+        assert report.connected_count == (19 if k == 1 else 21)
+        assert not report.theorem_verdict
 
     def test_zero_skipped(self):
         report = sweep_theorem(0, 0)
@@ -73,6 +93,45 @@ class TestSymmetryChecks:
 
     def test_corollary_digit_sets(self):
         assert corollary_check()
+
+
+class TestSharedCaches:
+    """Instances with equal digits share one difference set, and instances
+    with equal polynomial and difference set share one search memo."""
+
+    def test_sweep_command_cache_counts(self):
+        # sweep -20..20 from cold caches: 400 memos, and 40 difference sets,
+        # one per k for all ten polynomials.  The mirror check asks again for
+        # all 400; the companion digit sets {0, v, v + Av} and {0, v, v - Av}
+        # are two new digit tuples with the difference sets of k = -1 and 1.
+        cold_caches()
+        sweep_theorem(-20, 20, include_witnesses=True)
+        assert mirror_check(-20, 20)
+        assert corollary_check()
+        memos = membership._survivor_set.cache_info()
+        differences = lattice._graded_differences.cache_info()
+        assert (memos.misses, memos.hits) == (400, 420)
+        assert (differences.misses, differences.hits) == (42, 778)
+
+    def test_report_unchanged_under_constant_flushing(self, monkeypatch):
+        # one three-digit set fills the difference set cache, and the memo
+        # cache is counted full before each lookup, so every build empties
+        # its cache; the memo cache is emptied while a wrapper holds the
+        # module name _survivor_set, as under the benchmark's tracer
+        cold_caches()
+        expect = report_json(sweep_theorem(-6, 6, include_witnesses=True))
+        cold_caches()
+        monkeypatch.setattr(lattice, "MAX_DIGIT_PAIRS", 3)
+        real = membership._survivor_set
+
+        def counted_full(poly, dd):
+            membership._held_states = membership.MAX_BOX_STATES
+            return real(poly, dd)
+
+        monkeypatch.setattr(membership, "_survivor_set", counted_full)
+        assert report_json(sweep_theorem(-6, 6, include_witnesses=True)) == expect
+        assert real.cache_info().currsize == 1
+        assert lattice._graded_differences.cache_info().currsize == 1
 
 
 class TestSerialization:
